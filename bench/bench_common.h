@@ -76,6 +76,7 @@
 #include "obs/event.h"
 #include "scenario/sweep.h"
 #include "util/config.h"
+#include "util/json.h"
 
 namespace bench {
 
@@ -256,14 +257,14 @@ inline std::function<void(std::size_t, std::size_t)> make_progress(
   };
 }
 
-/// JSON string escaping for the trace run-header lines.
-inline std::string json_escape(const std::string& text) {
-  std::string out;
-  for (char c : text) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
+/// The meta line that introduces one run's events in a trace file.
+inline std::string run_header(const std::string& point, std::uint64_t seed) {
+  std::string line = "{\"run\":{\"point\":";
+  lw::util::append_quoted(line, point);
+  line += ",\"seed\":";
+  lw::util::append_uint(line, seed);
+  line += "}}\n";
+  return line;
 }
 
 /// Writes every run's buffered trace in spec order, each introduced by a
@@ -282,8 +283,7 @@ inline void write_trace(const Common& common,
       // Failed replicas (cancelled / timed out) produced no trace; writing
       // their headers would fake empty runs.
       if (replica.failed) continue;
-      out << "{\"run\":{\"point\":\"" << json_escape(point.label)
-          << "\",\"seed\":" << replica.seed << "}}\n";
+      out << run_header(point.label, replica.seed);
       out << replica.trace_jsonl;
     }
   }
@@ -343,9 +343,7 @@ inline lw::scenario::SweepResult run_sweep(const Common& common,
     // trace in memory until the sweep ends.
     spec.drain = [&stream_out, &spec](std::size_t p, std::size_t /*i*/,
                                       lw::scenario::RunResult& r) {
-      stream_out << "{\"run\":{\"point\":\""
-                 << detail::json_escape(spec.points[p].label)
-                 << "\",\"seed\":" << r.seed << "}}\n";
+      stream_out << detail::run_header(spec.points[p].label, r.seed);
       stream_out << r.trace_jsonl;
       r.trace_jsonl.clear();
       r.trace_jsonl.shrink_to_fit();

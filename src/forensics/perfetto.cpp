@@ -1,19 +1,23 @@
 #include "forensics/perfetto.h"
 
 #include <algorithm>
-#include <cstdarg>
-#include <cstdio>
-#include <map>
-#include <set>
 #include <string>
-#include <utility>
+#include <string_view>
+#include <unordered_map>
+#include <unordered_set>
+
+#include "util/json.h"
 
 namespace lw::forensics {
 namespace {
 
+using util::append_escaped;
+using util::append_fixed;
+using util::append_uint;
+
 /// Fixed per-layer track ids so exports are comparable across traces.
-int layer_tid(const std::string& layer) {
-  static constexpr std::pair<const char*, int> kTracks[] = {
+int layer_tid(std::string_view layer) {
+  static constexpr std::pair<std::string_view, int> kTracks[] = {
       {"phy", 1}, {"mac", 2}, {"nbr", 3}, {"route", 4},
       {"mon", 5}, {"atk", 6}, {"flt", 7}, {"span", 8},
   };
@@ -23,41 +27,60 @@ int layer_tid(const std::string& layer) {
   return 9;  // unknown layers share one catch-all track
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
-/// Comma-separates traceEvents entries; one entry per line for greppable
-/// output (the schema allows any whitespace).
+/// The traceEvents array, built in a string and handed to the stream in
+/// ~1 MB writes. One entry per line for greppable output (the schema
+/// allows any whitespace).
 class EventArray {
  public:
   explicit EventArray(std::ostream& out) : out_(out) {
-    out_ << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+    buffer_.reserve(kFlushBytes + 4096);
+    buffer_ += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   }
-  void emit(const std::string& body) {
-    out_ << (first_ ? "\n" : ",\n") << body;
+
+  /// Starts the next entry; the caller appends its JSON object to the
+  /// returned buffer.
+  std::string& next() {
+    if (buffer_.size() >= kFlushBytes) flush();
+    buffer_ += first_ ? "\n" : ",\n";
     first_ = false;
+    return buffer_;
   }
-  void close() { out_ << "\n]}\n"; }
+
+  void close() {
+    buffer_ += "\n]}\n";
+    flush();
+  }
 
  private:
+  static constexpr std::size_t kFlushBytes = std::size_t{1} << 20;
+
+  void flush() {
+    out_.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
+    buffer_.clear();
+  }
+
   std::ostream& out_;
+  std::string buffer_;
   bool first_ = true;
 };
 
-void append_f(std::string* out, const char* format, ...) {
-  char buffer[256];
-  va_list args;
-  va_start(args, format);
-  const int n = std::vsnprintf(buffer, sizeof(buffer), format, args);
-  va_end(args);
-  if (n > 0) out->append(buffer, std::min<std::size_t>(static_cast<std::size_t>(n), sizeof(buffer) - 1));
-}
+/// Comma-separates the members of one "args" object.
+class Args {
+ public:
+  explicit Args(std::string& out) : out_(out) {}
+  std::string& key(std::string_view name) {
+    if (!first_) out_ += ',';
+    first_ = false;
+    out_ += '"';
+    out_ += name;
+    out_ += "\":";
+    return out_;
+  }
+
+ private:
+  std::string& out_;
+  bool first_ = true;
+};
 
 /// Last sighting of a packet lineage (flow-arrow source anchor).
 struct Hop {
@@ -67,34 +90,59 @@ struct Hop {
   int count = 0;
 };
 
+/// One endpoint of a flow arrow: {"name":"lin L","cat":"flow","ph":...}.
+void append_flow(std::string& out, LineageId lineage, int run_index,
+                 int hop_count, bool start, double ts_us, NodeId node,
+                 int tid) {
+  out += "{\"name\":\"lin ";
+  append_uint(out, lineage);
+  out += start ? "\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":\"r"
+               : "\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\"id\":\"r";
+  util::append_int(out, run_index);
+  out += ".l";
+  append_uint(out, lineage);
+  out += ".h";
+  util::append_int(out, hop_count);
+  out += "\",\"ts\":";
+  append_fixed(out, ts_us, 3);
+  out += ",\"pid\":";
+  append_uint(out, node);
+  out += ",\"tid\":";
+  util::append_int(out, tid);
+  out += '}';
+}
+
 }  // namespace
 
 void export_perfetto(const std::vector<TraceRecord>& records,
                      std::ostream& out, const PerfettoOptions& options) {
   EventArray events(out);
-  std::set<NodeId> named_pids;
-  std::set<std::pair<NodeId, int>> named_tids;
+  // Tracks already named: (node << 4) | tid, tid 0 = the node's process.
+  std::unordered_set<std::uint64_t> named;
   int run_index = 0;
   double offset_us = 0.0;  // pushes each run segment past the previous one
   double max_ts_us = 0.0;  // high-water of emitted slice end times
-  std::map<LineageId, Hop> last_hop;
+  std::unordered_map<LineageId, Hop> last_hop;
 
-  auto ensure_track = [&](NodeId node, int tid, const char* label) {
-    std::string meta;
-    if (named_pids.insert(node).second) {
-      append_f(&meta,
-               "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%u,"
-               "\"args\":{\"name\":\"node %u\"}}",
-               node, node);
-      events.emit(meta);
-      meta.clear();
+  auto ensure_track = [&](NodeId node, int tid, std::string_view label) {
+    const std::uint64_t process = static_cast<std::uint64_t>(node) << 4;
+    if (named.insert(process).second) {
+      std::string& meta = events.next();
+      meta += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":";
+      append_uint(meta, node);
+      meta += ",\"args\":{\"name\":\"node ";
+      append_uint(meta, node);
+      meta += "\"}}";
     }
-    if (named_tids.insert({node, tid}).second) {
-      append_f(&meta,
-               "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%u,\"tid\":%d,"
-               "\"args\":{\"name\":\"%s\"}}",
-               node, tid, label);
-      events.emit(meta);
+    if (named.insert(process | static_cast<std::uint64_t>(tid)).second) {
+      std::string& meta = events.next();
+      meta += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":";
+      append_uint(meta, node);
+      meta += ",\"tid\":";
+      util::append_int(meta, tid);
+      meta += ",\"args\":{\"name\":\"";
+      append_escaped(meta, label);
+      meta += "\"}}";
     }
   };
 
@@ -106,85 +154,85 @@ void export_perfetto(const std::vector<TraceRecord>& records,
       continue;
     }
     const double ts = offset_us + record.t * 1e6;
-    std::string body;
-    bool first_arg = true;
-    auto arg = [&](const std::string& kv) {
-      if (!first_arg) body += ',';
-      first_arg = false;
-      body += kv;
-    };
 
     if (record.is_span) {
       ensure_track(record.node, 8, "span");
       // Nestable async b/e keyed by sid: a node's concurrent spans overlap
       // without the LIFO constraint synchronous B/E stacks impose.
-      append_f(&body,
-               "{\"name\":\"%s\",\"cat\":\"span\",\"ph\":\"%s\","
-               "\"id\":\"r%d.s%llu\",\"ts\":%.3f,\"pid\":%u,\"tid\":8,"
-               "\"args\":{",
-               json_escape(record.span_kind).c_str(),
-               record.name == "begin" ? "b" : "e", run_index,
-               static_cast<unsigned long long>(record.sid), ts, record.node);
-      if (record.name == "begin") {
-        arg("\"sid\":" + std::to_string(record.sid));
-        if (record.parent != 0) {
-          arg("\"parent\":" + std::to_string(record.parent));
-        }
-        if (record.lineage != 0) {
-          arg("\"lin\":" + std::to_string(record.lineage));
-        }
+      const bool begin = record.name() == "begin";
+      std::string& body = events.next();
+      body += "{\"name\":\"";
+      append_escaped(body, record.span_kind());
+      body += begin ? "\",\"cat\":\"span\",\"ph\":\"b\",\"id\":\"r"
+                    : "\",\"cat\":\"span\",\"ph\":\"e\",\"id\":\"r";
+      util::append_int(body, run_index);
+      body += ".s";
+      append_uint(body, record.sid);
+      body += "\",\"ts\":";
+      append_fixed(body, ts, 3);
+      body += ",\"pid\":";
+      append_uint(body, record.node);
+      body += ",\"tid\":8,\"args\":{";
+      Args args(body);
+      if (begin) {
+        append_uint(args.key("sid"), record.sid);
+        if (record.parent != 0) append_uint(args.key("parent"), record.parent);
+        if (record.lineage != 0) append_uint(args.key("lin"), record.lineage);
         if (record.peer != kInvalidNode) {
-          arg("\"peer\":" + std::to_string(record.peer));
+          append_uint(args.key("peer"), record.peer);
         }
       } else {
-        arg("\"outcome\":\"" + json_escape(record.outcome) + "\"");
+        util::append_quoted(args.key("outcome"), record.outcome());
         if (record.retries != 0) {
-          arg("\"retries\":" + std::to_string(record.retries));
+          append_uint(args.key("retries"), record.retries);
         }
         if (record.has_phases) {
-          std::string phases;
-          append_f(&phases,
-                   "\"observe\":%.9f,\"corroborate\":%.9f,\"isolate\":%.9f",
-                   record.observe, record.corroborate, record.isolate);
-          arg(phases);
+          append_fixed(args.key("observe"), record.observe, 9);
+          append_fixed(args.key("corroborate"), record.corroborate, 9);
+          append_fixed(args.key("isolate"), record.isolate, 9);
         }
       }
       body += "}}";
-      events.emit(body);
       max_ts_us = std::max(max_ts_us, ts);
       continue;
     }
 
-    const int tid = layer_tid(record.layer);
-    ensure_track(record.node, tid, record.layer.c_str());
-    append_f(&body,
-             "{\"name\":\"%s.%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,"
-             "\"pid\":%u,\"tid\":%d,\"args\":{",
-             json_escape(record.layer).c_str(),
-             json_escape(record.name).c_str(), ts, options.point_slice_us,
-             record.node, tid);
+    const int tid = layer_tid(record.layer());
+    ensure_track(record.node, tid, record.layer());
+    std::string& body = events.next();
+    body += "{\"name\":\"";
+    append_escaped(body, record.layer());
+    body += '.';
+    append_escaped(body, record.name());
+    body += "\",\"ph\":\"X\",\"ts\":";
+    append_fixed(body, ts, 3);
+    body += ",\"dur\":";
+    append_fixed(body, options.point_slice_us, 3);
+    body += ",\"pid\":";
+    append_uint(body, record.node);
+    body += ",\"tid\":";
+    util::append_int(body, tid);
+    body += ",\"args\":{";
+    Args args(body);
     if (record.peer != kInvalidNode) {
-      arg("\"peer\":" + std::to_string(record.peer));
+      append_uint(args.key("peer"), record.peer);
     }
     if (record.has_packet) {
-      arg("\"pkt\":\"" + json_escape(record.pkt_type) + "\"");
-      arg("\"origin\":" + std::to_string(record.origin));
-      arg("\"seq\":" + std::to_string(record.seq));
-      arg("\"lin\":" + std::to_string(record.lineage));
+      util::append_quoted(args.key("pkt"), record.pkt_type());
+      append_uint(args.key("origin"), record.origin);
+      append_uint(args.key("seq"), record.seq);
+      append_uint(args.key("lin"), record.lineage);
     }
-    if (!record.suspicion.empty()) {
-      arg("\"sus\":\"" + json_escape(record.suspicion) + "\"");
+    if (!record.suspicion().empty()) {
+      util::append_quoted(args.key("sus"), record.suspicion());
     }
-    if (!record.defense.empty()) {
-      arg("\"def\":\"" + json_escape(record.defense) + "\"");
+    if (!record.defense().empty()) {
+      util::append_quoted(args.key("def"), record.defense());
     }
     if (record.has_value) {
-      std::string value;
-      append_f(&value, "\"value\":%.9g", record.value);
-      arg(value);
+      util::append_general(args.key("value"), record.value, 9);
     }
     body += "}}";
-    events.emit(body);
     max_ts_us = std::max(max_ts_us, ts + options.point_slice_us);
 
     // Flow arrows: consecutive same-lineage packet events on different
@@ -193,27 +241,12 @@ void export_perfetto(const std::vector<TraceRecord>& records,
       Hop& hop = last_hop[record.lineage];
       if (hop.node != kInvalidNode && hop.node != record.node) {
         ++hop.count;
-        std::string flow;
-        append_f(&flow,
-                 "{\"name\":\"lin %llu\",\"cat\":\"flow\",\"ph\":\"s\","
-                 "\"id\":\"r%d.l%llu.h%d\",\"ts\":%.3f,\"pid\":%u,"
-                 "\"tid\":%d}",
-                 static_cast<unsigned long long>(record.lineage), run_index,
-                 static_cast<unsigned long long>(record.lineage), hop.count,
-                 hop.ts_us, hop.node, hop.tid);
-        events.emit(flow);
-        flow.clear();
-        append_f(&flow,
-                 "{\"name\":\"lin %llu\",\"cat\":\"flow\",\"ph\":\"f\","
-                 "\"bp\":\"e\",\"id\":\"r%d.l%llu.h%d\",\"ts\":%.3f,"
-                 "\"pid\":%u,\"tid\":%d}",
-                 static_cast<unsigned long long>(record.lineage), run_index,
-                 static_cast<unsigned long long>(record.lineage), hop.count,
-                 ts, record.node, tid);
-        events.emit(flow);
+        append_flow(events.next(), record.lineage, run_index, hop.count,
+                    /*start=*/true, hop.ts_us, hop.node, hop.tid);
+        append_flow(events.next(), record.lineage, run_index, hop.count,
+                    /*start=*/false, ts, record.node, tid);
       }
-      const int count = hop.count;
-      hop = Hop{record.node, tid, ts, count};
+      hop = Hop{record.node, tid, ts, hop.count};
     }
   }
   events.close();

@@ -38,8 +38,10 @@ struct PerfettoOptions {
 };
 
 /// Writes the records as one Chrome trace-event JSON document
-/// (`{"traceEvents":[...],"displayTimeUnit":"ms"}`). Deterministic: output
-/// bytes depend only on the records and options.
+/// (`{"traceEvents":[...],"displayTimeUnit":"ms"}`), in ~1 MB writes.
+/// Deterministic: output bytes depend only on the records and options.
+/// Names and string args are JSON-escaped, so any accepted trace exports
+/// as valid JSON.
 void export_perfetto(const std::vector<TraceRecord>& records,
                      std::ostream& out, const PerfettoOptions& options = {});
 

@@ -7,12 +7,20 @@
 // (numbers, strings, and the one-level "run" header object) are accepted,
 // and anything else throws TraceFormatError with the offending line
 // number, which is what a forensic tool should do with a tampered trace.
+//
+// The reader is built for 100 MB traces: it scans the stream in chunks,
+// parses each line in place as a string_view, and stores the vocabulary
+// text of a record (layer, event, packet type, ...) as 1-byte interned ids
+// instead of owned strings.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <istream>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/event.h"
@@ -36,70 +44,100 @@ class TraceFormatError : public std::runtime_error {
 /// `kind_known = false` so the `check` linter can report them with a line
 /// number instead of aborting at the first one.
 struct TraceRecord {
-  bool is_run_header = false;
-  std::size_t line = 0;
+  /// The text-valued fields. Absent and empty read the same ("").
+  enum class Text : std::uint8_t {
+    kPoint,      // run header: sweep point label
+    kLayer,      // "phy", ..., "span"
+    kName,       // event name; "begin"/"end" on span lines
+    kPkt,        // packet type ("DATA", ...) when the event had a packet
+    kSuspicion,  // "fab"/"drop"/"anom" on mon.suspicion lines
+    kDefense,    // backend attribution on non-LITEWORP mon.* lines
+    kSpanKind,   // "route_session", ...
+    kOutcome,    // span.end outcome
+  };
+  static constexpr std::size_t kTextFields = 8;
 
-  // ---- Run header fields ----
-  std::string point;
+  // Fields are grouped by size, not by line shape, so the record packs
+  // without padding.
+  std::size_t line = 0;
+  Time t = 0.0;
+  double value = 0.0;
+  /// Run header: the replica's seed.
   std::uint64_t run_seed = 0;
 
-  // ---- Event fields ----
-  std::string layer;
-  std::string name;
-  bool kind_known = false;
-  obs::EventKind kind = obs::EventKind::kPhyTx;
-  Time t = 0.0;
-  NodeId node = kInvalidNode;
-  NodeId peer = kInvalidNode;
-  double value = 0.0;
-  bool has_value = false;
-
-  // ---- Packet fields (present when the event carried a packet) ----
-  bool has_packet = false;
-  std::string pkt_type;
-  NodeId origin = kInvalidNode;
+  // ---- Packet fields (has_packet) ----
   SeqNo seq = 0;
   LineageId lineage = 0;
 
-  /// Suspicion kind ("fab"/"drop"/"anom") on mon.suspicion lines; empty
-  /// otherwise.
-  std::string suspicion;
-
-  /// Defense backend attribution ("leash"/"zscore"/...) on mon.* lines
-  /// from non-default backends; empty means LITEWORP (the writer omits
-  /// the key for the default so legacy traces parse unchanged).
-  std::string defense;
-
-  // ---- Span fields (layer == "span": SpanBuilder begin/end lines) ----
-  /// True for span.begin / span.end lines; `name` is "begin" or "end",
-  /// `kind_known` stays false (spans are not point events).
-  bool is_span = false;
-  /// Span kind name ("route_session", ...); span_kind_known is false when
-  /// the name is not in the SpanKind vocabulary (check reports it).
-  std::string span_kind;
-  bool span_kind_known = false;
+  // ---- Span fields (layer "span": SpanBuilder begin/end lines) ----
   std::uint64_t sid = 0;
   /// Parent sid; 0 = root span.
   std::uint64_t parent = 0;
-  /// span.end only: duration and outcome.
+  /// span.end only: duration and retries.
   double dur = 0.0;
-  bool has_dur = false;
-  std::string outcome;
   std::uint64_t retries = 0;
   /// Alert-round latency decomposition (span.end, complete rounds only).
-  bool has_phases = false;
   double observe = 0.0;
   double corroborate = 0.0;
   double isolate = 0.0;
 
+  NodeId node = kInvalidNode;
+  NodeId peer = kInvalidNode;
+  /// With has_packet: the packet's originator.
+  NodeId origin = kInvalidNode;
+
+  obs::EventKind kind = obs::EventKind::kPhyTx;
+  bool is_run_header = false;
+  bool kind_known = false;
+  bool has_value = false;
+  bool has_packet = false;
+  /// True for span.begin / span.end lines; name() is "begin" or "end",
+  /// `kind_known` stays false (spans are not point events).
+  bool is_span = false;
+  /// False when span_kind() is not in the SpanKind vocabulary (check
+  /// reports it).
+  bool span_kind_known = false;
+  bool has_dur = false;
+  bool has_phases = false;
+
+  std::string_view point() const { return text(Text::kPoint); }
+  std::string_view layer() const { return text(Text::kLayer); }
+  std::string_view name() const { return text(Text::kName); }
+  std::string_view pkt_type() const { return text(Text::kPkt); }
+  /// Empty except on mon.suspicion lines.
+  std::string_view suspicion() const { return text(Text::kSuspicion); }
+  /// Empty means LITEWORP (the writer omits the key for the default so
+  /// legacy traces parse unchanged).
+  std::string_view defense() const { return text(Text::kDefense); }
+  std::string_view span_kind() const { return text(Text::kSpanKind); }
+  std::string_view outcome() const { return text(Text::kOutcome); }
+
+  /// Trace vocabulary is stored as an interned id; any other text is kept
+  /// verbatim in a block shared by the record's copies.
+  std::string_view text(Text field) const;
+
   /// The event as the in-process sinks would have seen it (packet pointer
   /// is null — offline consumers use the flattened fields above).
   obs::Event to_event() const;
+
+ private:
+  friend bool parse_trace_line(std::string_view line, std::size_t line_no,
+                               TraceRecord* out);
+
+  void set_text(Text field, std::string_view value);
+
+  /// Per field: 0 = empty, 0xFF = stored in verbatim_, else the
+  /// vocabulary id.
+  std::array<std::uint8_t, kTextFields> text_ids_{};
+  std::shared_ptr<const std::array<std::string, kTextFields>> verbatim_;
 };
+
+// The record size sets the memory of reading a 10^6-line trace.
+static_assert(sizeof(TraceRecord) <= 160, "TraceRecord grew");
 
 /// Parses one JSONL line (without trailing newline). Blank lines return
 /// false. Throws TraceFormatError on malformed input.
-bool parse_trace_line(const std::string& line, std::size_t line_no,
+bool parse_trace_line(std::string_view line, std::size_t line_no,
                       TraceRecord* out);
 
 /// Reads a whole trace stream. Throws TraceFormatError on the first

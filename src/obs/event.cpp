@@ -64,7 +64,7 @@ const char* to_string(DefenseTag tag) {
   return "?";
 }
 
-bool parse_defense_tag(const std::string& name, DefenseTag* out) {
+bool parse_defense_tag(std::string_view name, DefenseTag* out) {
   constexpr DefenseTag kTags[] = {DefenseTag::kLiteworp, DefenseTag::kLeash,
                                   DefenseTag::kZScore, DefenseTag::kNone};
   for (DefenseTag tag : kTags) {
@@ -204,18 +204,6 @@ Layer layer_of(EventKind kind) {
       return Layer::kFault;
   }
   return Layer::kPhy;
-}
-
-bool parse_event_kind(const std::string& layer, const std::string& event,
-                      EventKind* out) {
-  for (std::size_t i = 0; i < kEventKindCount; ++i) {
-    const EventKind kind = static_cast<EventKind>(i);
-    if (event == to_string(kind) && layer == to_string(layer_of(kind))) {
-      if (out != nullptr) *out = kind;
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace lw::obs

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "util/ids.h"
 #include "util/sim_time.h"
@@ -62,7 +63,7 @@ enum class DefenseTag : std::uint8_t {
 const char* to_string(DefenseTag tag);
 
 /// Reverse lookup for trace readers. Returns false on unknown names.
-bool parse_defense_tag(const std::string& name, DefenseTag* out);
+bool parse_defense_tag(std::string_view name, DefenseTag* out);
 
 enum class EventKind : std::uint8_t {
   // ---- PHY (medium) ----
@@ -129,13 +130,6 @@ const char* to_string(EventKind kind);
 
 /// The layer an event kind belongs to.
 Layer layer_of(EventKind kind);
-
-/// Reverse lookup for trace readers: resolves ("mon", "suspicion") back to
-/// EventKind::kMonSuspicion. The layer disambiguates duplicated short
-/// names ("route"/"atk" both have a "drop"). Returns false on unknown
-/// names.
-bool parse_event_kind(const std::string& layer, const std::string& event,
-                      EventKind* out);
 
 struct Event {
   Time t = 0.0;

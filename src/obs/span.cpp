@@ -1,11 +1,10 @@
 #include "obs/span.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <sstream>
 
 #include "packet/packet.h"
+#include "util/json.h"
 
 namespace lw::obs {
 namespace {
@@ -50,7 +49,7 @@ const char* to_string(SpanKind kind) {
   return "?";
 }
 
-bool parse_span_kind(const std::string& name, SpanKind* out) {
+bool parse_span_kind(std::string_view name, SpanKind* out) {
   for (std::size_t i = 0; i < kSpanKindCount; ++i) {
     const SpanKind kind = static_cast<SpanKind>(i);
     if (name == to_string(kind)) {
@@ -84,7 +83,7 @@ HistogramSummary summarize_samples(const std::vector<double>& samples) {
   return s;
 }
 
-SpanBuilder::SpanBuilder(std::ostream* trace_out) : trace_out_(trace_out) {
+SpanBuilder::SpanBuilder(std::string* trace_out) : trace_out_(trace_out) {
   report_.enabled = true;
 }
 
@@ -157,65 +156,61 @@ void SpanBuilder::finish(std::uint32_t sid, Time t, const char* outcome,
 
 void SpanBuilder::emit_begin(const OpenSpan& span) {
   if (trace_out_ == nullptr) return;
-  char buffer[256];
-  int n = std::snprintf(
-      buffer, sizeof(buffer),
-      "{\"t\":%.9f,\"layer\":\"span\",\"event\":\"begin\",\"span\":\"%s\","
-      "\"sid\":%" PRIu32 ",\"node\":%" PRIu32,
-      span.begin, to_string(span.kind), span.sid,
-      static_cast<std::uint32_t>(span.node));
-  trace_out_->write(buffer, n);
-  if (span.peer != kInvalidNode) {
-    n = std::snprintf(buffer, sizeof(buffer), ",\"peer\":%" PRIu32,
-                      static_cast<std::uint32_t>(span.peer));
-    trace_out_->write(buffer, n);
-  }
+  emit_head(span, span.begin, "begin");
+  std::string& out = *trace_out_;
   if (span.parent != 0) {
-    n = std::snprintf(buffer, sizeof(buffer), ",\"parent\":%" PRIu32,
-                      span.parent);
-    trace_out_->write(buffer, n);
+    out += ",\"parent\":";
+    util::append_uint(out, span.parent);
   }
   if (span.lineage != 0) {
-    n = std::snprintf(buffer, sizeof(buffer), ",\"lin\":%" PRIu64,
-                      static_cast<std::uint64_t>(span.lineage));
-    trace_out_->write(buffer, n);
+    out += ",\"lin\":";
+    util::append_uint(out, span.lineage);
   }
-  trace_out_->write("}\n", 2);
+  out += "}\n";
 }
 
 void SpanBuilder::emit_end(const OpenSpan& span, Time t, double dur,
                            const char* outcome) {
   if (trace_out_ == nullptr) return;
-  char buffer[320];
-  int n = std::snprintf(
-      buffer, sizeof(buffer),
-      "{\"t\":%.9f,\"layer\":\"span\",\"event\":\"end\",\"span\":\"%s\","
-      "\"sid\":%" PRIu32 ",\"node\":%" PRIu32,
-      t, to_string(span.kind), span.sid,
-      static_cast<std::uint32_t>(span.node));
-  trace_out_->write(buffer, n);
-  if (span.peer != kInvalidNode) {
-    n = std::snprintf(buffer, sizeof(buffer), ",\"peer\":%" PRIu32,
-                      static_cast<std::uint32_t>(span.peer));
-    trace_out_->write(buffer, n);
-  }
-  n = std::snprintf(buffer, sizeof(buffer), ",\"dur\":%.9f,\"outcome\":\"%s\"",
-                    dur, outcome);
-  trace_out_->write(buffer, n);
+  emit_head(span, t, "end");
+  std::string& out = *trace_out_;
+  out += ",\"dur\":";
+  util::append_fixed(out, dur, 9);
+  out += ",\"outcome\":\"";
+  out += outcome;
+  out += '"';
   if (span.retries > 0) {
-    n = std::snprintf(buffer, sizeof(buffer), ",\"retries\":%" PRIu32,
-                      span.retries);
-    trace_out_->write(buffer, n);
+    out += ",\"retries\":";
+    util::append_uint(out, span.retries);
   }
   if (span.ph_observe >= 0.0 && span.ph_corroborate >= 0.0 &&
       span.ph_isolate >= 0.0) {
-    n = std::snprintf(buffer, sizeof(buffer),
-                      ",\"observe\":%.9f,\"corroborate\":%.9f,"
-                      "\"isolate\":%.9f",
-                      span.ph_observe, span.ph_corroborate, span.ph_isolate);
-    trace_out_->write(buffer, n);
+    out += ",\"observe\":";
+    util::append_fixed(out, span.ph_observe, 9);
+    out += ",\"corroborate\":";
+    util::append_fixed(out, span.ph_corroborate, 9);
+    out += ",\"isolate\":";
+    util::append_fixed(out, span.ph_isolate, 9);
   }
-  trace_out_->write("}\n", 2);
+  out += "}\n";
+}
+
+void SpanBuilder::emit_head(const OpenSpan& span, Time t, const char* event) {
+  std::string& out = *trace_out_;
+  out += "{\"t\":";
+  util::append_fixed(out, t, 9);
+  out += ",\"layer\":\"span\",\"event\":\"";
+  out += event;
+  out += "\",\"span\":\"";
+  out += to_string(span.kind);
+  out += "\",\"sid\":";
+  util::append_uint(out, span.sid);
+  out += ",\"node\":";
+  util::append_uint(out, span.node);
+  if (span.peer != kInvalidNode) {
+    out += ",\"peer\":";
+    util::append_uint(out, span.peer);
+  }
 }
 
 std::uint32_t SpanBuilder::ensure_alert_round(const Event& event,

@@ -37,9 +37,9 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <ostream>
 #include <set>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -63,7 +63,13 @@ inline constexpr std::size_t kSpanKindCount = 5;
 const char* to_string(SpanKind kind);
 
 /// Reverse lookup for trace readers. Returns false on unknown names.
-bool parse_span_kind(const std::string& name, SpanKind* out);
+bool parse_span_kind(std::string_view name, SpanKind* out);
+
+/// Every outcome a span.end line carries: the terminal ones, then "open"
+/// for spans flushed at run end. Trace readers intern these names (an
+/// outcome missing here would still read back, as verbatim text).
+inline constexpr const char* kSpanOutcomes[] = {
+    "established", "cleared", "dropped", "isolated", "joined", "open"};
 
 /// Exact summary of a raw sample vector; percentile interpolation matches
 /// Histogram::summary (rank = p/100 * (n-1), linear between neighbors).
@@ -112,11 +118,11 @@ struct SpanReport {
 
 /// EventSink folding nbr/route/mon/atk events into spans. Register it
 /// AFTER the TraceWriter so span.begin/span.end lines land immediately
-/// after the event that opened/closed them; pass the same trace stream to
-/// emit span lines, or null to collect statistics only.
+/// after the event that opened/closed them; pass the TraceWriter's buffer
+/// to append span lines to it, or null to collect statistics only.
 class SpanBuilder final : public EventSink {
  public:
-  explicit SpanBuilder(std::ostream* trace_out);
+  explicit SpanBuilder(std::string* trace_out);
 
   void on_event(const Event& event) override;
 
@@ -162,11 +168,13 @@ class SpanBuilder final : public EventSink {
   void finish(std::uint32_t sid, Time t, const char* outcome, bool terminal);
   void emit_begin(const OpenSpan& span);
   void emit_end(const OpenSpan& span, Time t, double dur, const char* outcome);
+  /// The fields span.begin and span.end lines share, up to "peer".
+  void emit_head(const OpenSpan& span, Time t, const char* event);
 
   /// The open alert round for `accused`, opened on first contact.
   std::uint32_t ensure_alert_round(const Event& event, NodeId accused);
 
-  std::ostream* trace_out_;
+  std::string* trace_out_;
   bool flushed_ = false;
   std::uint32_t next_sid_ = 1;
   /// Open spans by sid; std::map keeps flush order deterministic.

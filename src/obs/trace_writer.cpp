@@ -1,57 +1,51 @@
 #include "obs/trace_writer.h"
 
-#include <cinttypes>
-#include <cstdio>
-
 #include "packet/packet.h"
+#include "util/json.h"
 
 namespace lw::obs {
 
 void TraceWriter::on_event(const Event& event) {
-  // printf-family formatting: byte-deterministic and locale-independent,
-  // unlike ostream floats.
-  char buffer[256];
-  int n = std::snprintf(buffer, sizeof(buffer),
-                        "{\"t\":%.9f,\"layer\":\"%s\",\"event\":\"%s\","
-                        "\"node\":%" PRIu32,
-                        event.t, to_string(layer_of(event.kind)),
-                        to_string(event.kind),
-                        static_cast<std::uint32_t>(event.node));
-  out_.write(buffer, n);
+  using util::append_uint;
+  out_ += "{\"t\":";
+  util::append_fixed(out_, event.t, 9);
+  out_ += ",\"layer\":\"";
+  out_ += to_string(layer_of(event.kind));
+  out_ += "\",\"event\":\"";
+  out_ += to_string(event.kind);
+  out_ += "\",\"node\":";
+  append_uint(out_, event.node);
   if (event.peer != kInvalidNode) {
-    n = std::snprintf(buffer, sizeof(buffer), ",\"peer\":%" PRIu32,
-                      static_cast<std::uint32_t>(event.peer));
-    out_.write(buffer, n);
+    out_ += ",\"peer\":";
+    append_uint(out_, event.peer);
   }
   if (event.packet != nullptr) {
-    n = std::snprintf(buffer, sizeof(buffer),
-                      ",\"pkt\":\"%s\",\"origin\":%" PRIu32 ",\"seq\":%" PRIu64
-                      ",\"lin\":%" PRIu64,
-                      pkt::to_string(event.packet->type),
-                      static_cast<std::uint32_t>(event.packet->origin),
-                      static_cast<std::uint64_t>(event.packet->seq),
-                      static_cast<std::uint64_t>(event.packet->lineage));
-    out_.write(buffer, n);
+    out_ += ",\"pkt\":\"";
+    out_ += pkt::to_string(event.packet->type);
+    out_ += "\",\"origin\":";
+    append_uint(out_, event.packet->origin);
+    out_ += ",\"seq\":";
+    append_uint(out_, event.packet->seq);
+    out_ += ",\"lin\":";
+    append_uint(out_, event.packet->lineage);
   }
   if (event.kind == EventKind::kMonSuspicion) {
-    const char* sus = event.detail == kSuspicionDrop      ? "drop"
-                      : event.detail == kSuspicionAnomaly ? "anom"
-                                                          : "fab";
-    n = std::snprintf(buffer, sizeof(buffer), ",\"sus\":\"%s\"", sus);
-    out_.write(buffer, n);
+    out_ += event.detail == kSuspicionDrop      ? ",\"sus\":\"drop\""
+            : event.detail == kSuspicionAnomaly ? ",\"sus\":\"anom\""
+                                                : ",\"sus\":\"fab\"";
   }
   if (event.def != 0) {
     // Non-default backend attribution; omitted for the default LITEWORP
     // monitor so pre-existing golden traces stay byte-identical.
-    n = std::snprintf(buffer, sizeof(buffer), ",\"def\":\"%s\"",
-                      to_string(static_cast<DefenseTag>(event.def)));
-    out_.write(buffer, n);
+    out_ += ",\"def\":\"";
+    out_ += to_string(static_cast<DefenseTag>(event.def));
+    out_ += '"';
   }
   if (event.value != 0.0) {
-    n = std::snprintf(buffer, sizeof(buffer), ",\"value\":%.9g", event.value);
-    out_.write(buffer, n);
+    out_ += ",\"value\":";
+    util::append_general(out_, event.value, 9);
   }
-  out_.write("}\n", 2);
+  out_ += "}\n";
 }
 
 }  // namespace lw::obs

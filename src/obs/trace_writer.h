@@ -2,13 +2,14 @@
 // file.
 //
 // One JSON object per line, schema documented in docs/TRACE_FORMAT.md.
-// All formatting is locale-independent fixed printf
-// formatting, and events arrive in deterministic simulator order, so the
-// trace of a fixed-seed run is byte-identical across repeated runs and
-// across sweep thread counts (enforced by the golden-trace test).
+// Numbers are formatted with the locale-independent util/json appenders
+// (byte-identical to printf "%.9f" / "%.9g" / PRIu64), and events arrive in
+// deterministic simulator order, so the trace of a fixed-seed run is
+// byte-identical across repeated runs and across sweep thread counts
+// (enforced by the golden-trace test).
 #pragma once
 
-#include <ostream>
+#include <string>
 
 #include "obs/recorder.h"
 
@@ -16,13 +17,13 @@ namespace lw::obs {
 
 class TraceWriter final : public EventSink {
  public:
-  /// The stream must outlive the writer.
-  explicit TraceWriter(std::ostream& out) : out_(out) {}
+  /// Lines are appended to `out`, which must outlive the writer.
+  explicit TraceWriter(std::string& out) : out_(out) {}
 
   void on_event(const Event& event) override;
 
  private:
-  std::ostream& out_;
+  std::string& out_;
 };
 
 }  // namespace lw::obs

@@ -407,7 +407,7 @@ std::string Network::trace_jsonl() const {
   if (span_builder_) {
     const_cast<Network*>(this)->span_builder_->flush(simulator_.now());
   }
-  return trace_buffer_.str();
+  return trace_buffer_;
 }
 
 obs::SpanReport Network::spans() const {

@@ -8,7 +8,6 @@
 
 #include <functional>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -154,7 +153,9 @@ class Network : public fault::FaultHost {
   sim::Simulator simulator_;
   crypto::KeyManager keys_;
   pkt::PacketFactory factory_;
-  std::ostringstream trace_buffer_;
+  /// The JSONL trace: TraceWriter and SpanBuilder lines, appended in
+  /// event order.
+  std::string trace_buffer_;
   std::unique_ptr<obs::TraceWriter> trace_writer_;
   std::unique_ptr<obs::SpanBuilder> span_builder_;
   std::unique_ptr<obs::RegistrySink> registry_;

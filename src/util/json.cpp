@@ -1,6 +1,9 @@
 #include "util/json.h"
 
+#include <cassert>
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 
 namespace lw::util {
@@ -127,6 +130,10 @@ class JsonParser {
       if (pos_ >= text_.size()) fail("unterminated string");
       const char c = text_[pos_++];
       if (c == '"') return out;
+      if (static_cast<unsigned char>(c) < 0x20) {
+        --pos_;
+        fail("unescaped control character in string");
+      }
       if (c != '\\') {
         out += c;
         continue;
@@ -155,8 +162,8 @@ class JsonParser {
           out += '\f';
           break;
         case 'u': {
-          // Our emitters never write \u escapes; decode the BMP subset so
-          // foreign files at least round-trip ASCII-range escapes.
+          // append_escaped writes \u00XX for control bytes; decode the
+          // BMP subset so those and foreign ASCII-range escapes round-trip.
           if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
           const std::string hex = text_.substr(pos_, 4);
           pos_ += 4;
@@ -259,6 +266,69 @@ std::string JsonValue::string_or(const std::string& key,
   const JsonValue* value = find(key);
   return value != nullptr && value->is_string() ? value->as_string()
                                                 : fallback;
+}
+
+}  // namespace lw::util
+
+namespace lw::util {
+namespace {
+
+template <typename... Format>
+void append_chars(std::string& out, Format... format) {
+  // Widest case: a fixed double near DBL_MAX (309 integer digits) with 17
+  // decimals, plus sign and point.
+  char buffer[352];
+  const std::to_chars_result result =
+      std::to_chars(buffer, buffer + sizeof(buffer), format...);
+  assert(result.ec == std::errc{});
+  out.append(buffer, static_cast<std::size_t>(result.ptr - buffer));
+}
+
+}  // namespace
+
+void append_uint(std::string& out, std::uint64_t value) {
+  append_chars(out, value);
+}
+
+void append_int(std::string& out, std::int64_t value) {
+  append_chars(out, value);
+}
+
+void append_fixed(std::string& out, double value, int precision) {
+  assert(precision >= 0 && precision <= 17);
+  if (!std::isfinite(value)) {
+    out += "null";
+    return;
+  }
+  append_chars(out, value, std::chars_format::fixed, precision);
+}
+
+void append_general(std::string& out, double value, int precision) {
+  assert(precision >= 1 && precision <= 17);
+  if (!std::isfinite(value)) {
+    out += "null";
+    return;
+  }
+  append_chars(out, value, std::chars_format::general, precision);
+}
+
+void append_escaped(std::string& out, std::string_view text) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t clean = 0;  // start of the pending run of plain bytes
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(text.data() + clean, i - clean);
+    clean = i + 1;
+    if (c < 0x20) {
+      const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 15]};
+      out.append(escape, sizeof(escape));
+    } else {
+      out += '\\';
+      out += static_cast<char>(c);
+    }
+  }
+  out.append(text.data() + clean, text.size() - clean);
 }
 
 }  // namespace lw::util

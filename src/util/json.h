@@ -1,10 +1,12 @@
 // Minimal JSON reader for the repo's own machine output (sweep JSON,
-// bench rows, BENCH_history.json).
+// bench rows, BENCH_history.json), and the append-only formatter the JSONL
+// trace, span lines and the Perfetto export are written with.
 //
 // The emitters in this codebase produce a small, predictable dialect —
 // objects, arrays, strings with basic escapes, finite numbers, booleans,
 // null — and this parser covers exactly that (no comments, no NaN/Inf
-// literals, UTF-8 passed through verbatim). Objects preserve insertion
+// literals, no raw control bytes in strings, UTF-8 passed through
+// verbatim). Objects preserve insertion
 // order so rendered reports list fields the way the producer wrote them.
 //
 // Parse errors throw JsonParseError with a byte offset, which the CLI
@@ -12,8 +14,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -78,5 +82,31 @@ class JsonValue {
 
   friend class JsonParser;
 };
+
+// ---- Append-only formatting ----
+//
+// Every number goes through std::to_chars, which is locale-independent and
+// allocation-free. Each helper is byte-identical to the printf conversion
+// it names; tests/util/test_json_format.cpp checks that.
+
+/// printf "%" PRIu64.
+void append_uint(std::string& out, std::uint64_t value);
+/// printf "%d".
+void append_int(std::string& out, std::int64_t value);
+/// printf "%.<precision>f" (precision 0..17). JSON has no literal for
+/// infinities and NaN, so those are written as null.
+void append_fixed(std::string& out, double value, int precision);
+/// printf "%.<precision>g" (precision 1..17); non-finite values as null.
+void append_general(std::string& out, double value, int precision);
+/// JSON string body without the quotes: '"' and '\\' get a backslash,
+/// bytes below 0x20 become \u00XX, everything else (UTF-8 included) is
+/// copied verbatim.
+void append_escaped(std::string& out, std::string_view text);
+/// append_escaped wrapped in double quotes.
+inline void append_quoted(std::string& out, std::string_view text) {
+  out += '"';
+  append_escaped(out, text);
+  out += '"';
+}
 
 }  // namespace lw::util

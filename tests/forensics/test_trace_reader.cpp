@@ -24,7 +24,7 @@ std::vector<TraceRecord> parse_all(const std::string& text) {
 // ---- Round-trip through the writer ----
 
 TEST(TraceReader, RoundTripsAPacketEvent) {
-  std::ostringstream out;
+  std::string out;
   obs::TraceWriter writer(out);
   pkt::Packet packet;
   packet.type = pkt::PacketType::kData;
@@ -39,7 +39,7 @@ TEST(TraceReader, RoundTripsAPacketEvent) {
   event.packet = &packet;
   writer.on_event(event);
 
-  const std::vector<TraceRecord> records = parse_all(out.str());
+  const std::vector<TraceRecord> records = parse_all(out);
   ASSERT_EQ(records.size(), 1u);
   const TraceRecord& r = records.front();
   EXPECT_FALSE(r.is_run_header);
@@ -49,14 +49,14 @@ TEST(TraceReader, RoundTripsAPacketEvent) {
   EXPECT_EQ(r.node, 5u);
   EXPECT_EQ(r.peer, 6u);
   ASSERT_TRUE(r.has_packet);
-  EXPECT_EQ(r.pkt_type, "DATA");
+  EXPECT_EQ(r.pkt_type(), "DATA");
   EXPECT_EQ(r.origin, 11u);
   EXPECT_EQ(r.seq, 42u);
   EXPECT_EQ(r.lineage, 987654321u);
 }
 
 TEST(TraceReader, RoundTripsSuspicionDetail) {
-  std::ostringstream out;
+  std::string out;
   obs::TraceWriter writer(out);
   obs::Event event;
   event.t = 2.0;
@@ -67,9 +67,9 @@ TEST(TraceReader, RoundTripsSuspicionDetail) {
   event.detail = obs::kSuspicionDrop;
   writer.on_event(event);
 
-  const std::vector<TraceRecord> records = parse_all(out.str());
+  const std::vector<TraceRecord> records = parse_all(out);
   ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records.front().suspicion, "drop");
+  EXPECT_EQ(records.front().suspicion(), "drop");
   EXPECT_EQ(records.front().to_event().detail, obs::kSuspicionDrop);
 }
 
@@ -79,7 +79,7 @@ TEST(TraceReader, ParsesRunHeaders) {
       "{\"t\":0.5,\"layer\":\"nbr\",\"event\":\"hello\",\"node\":3}\n");
   ASSERT_EQ(records.size(), 2u);
   EXPECT_TRUE(records[0].is_run_header);
-  EXPECT_EQ(records[0].point, "gamma=3");
+  EXPECT_EQ(records[0].point(), "gamma=3");
   EXPECT_EQ(records[0].run_seed, 17u);
   EXPECT_FALSE(records[1].is_run_header);
   EXPECT_EQ(records[1].kind, obs::EventKind::kNbrHello);
@@ -105,6 +105,92 @@ TEST(TraceReader, MalformedLinesThrowWithLineNumbers) {
     FAIL() << "expected TraceFormatError";
   } catch (const TraceFormatError& e) {
     EXPECT_EQ(e.line(), 2u);
+  }
+}
+
+// ---- Parity with the line scanner the chunked reader replaced ----
+
+TEST(TraceReader, AcceptsLeadingPlusAndExponentNumbers) {
+  const std::vector<TraceRecord> records = parse_all(
+      "{\"t\":+1.5e1,\"layer\":\"mon\",\"event\":\"suspicion\","
+      "\"node\":+7,\"peer\":2e0,\"value\":-2.5E-1,\"sus\":\"drop\"}\n");
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].t, 15.0);
+  EXPECT_EQ(records[0].node, 7u);
+  EXPECT_EQ(records[0].peer, 2u);
+  EXPECT_EQ(records[0].value, -0.25);
+  EXPECT_EQ(records[0].kind, obs::EventKind::kMonSuspicion);
+}
+
+TEST(TraceReader, BackslashEscapesTakeTheNextByte) {
+  const std::vector<TraceRecord> records = parse_all(
+      "{\"run\":{\"point\":\"a\\\"b\\\\c\",\"seed\":3}}\n"
+      "{\"t\":1,\"layer\":\"n\\br\",\"event\":\"say \\\"hi\\\"\","
+      "\"node\":1}\n");
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].point(), "a\"b\\c");
+  EXPECT_EQ(records[1].layer(), "nbr");
+  EXPECT_EQ(records[1].name(), "say \"hi\"");
+  EXPECT_FALSE(records[1].kind_known);
+}
+
+TEST(TraceReader, BlankLinesAreSkippedButCounted) {
+  try {
+    parse_all("\n{\"t\":1,\"layer\":\"nbr\",\"event\":\"hello\",\"node\":1}\n"
+              "\n{oops}\n");
+    FAIL() << "expected TraceFormatError";
+  } catch (const TraceFormatError& e) {
+    EXPECT_EQ(e.line(), 4u);
+  }
+  const std::vector<TraceRecord> records = parse_all(
+      "\n\n{\"t\":1,\"layer\":\"nbr\",\"event\":\"hello\",\"node\":1}\n\n");
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].line, 3u);
+}
+
+TEST(TraceReader, LastLineMayLackANewline) {
+  const std::vector<TraceRecord> records = parse_all(
+      "{\"t\":1,\"layer\":\"nbr\",\"event\":\"hello\",\"node\":1}\n"
+      "{\"t\":2,\"layer\":\"nbr\",\"event\":\"hello\",\"node\":2}");
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[1].node, 2u);
+}
+
+TEST(TraceReader, TrailingCarriageReturnIsRejected) {
+  try {
+    parse_all("{\"t\":1,\"layer\":\"nbr\",\"event\":\"hello\",\"node\":1}\r\n");
+    FAIL() << "expected TraceFormatError";
+  } catch (const TraceFormatError& e) {
+    EXPECT_EQ(e.line(), 1u);
+  }
+}
+
+TEST(TraceReader, IntegerFieldsParseExactlyAndTruncateFractions) {
+  const std::vector<TraceRecord> records = parse_all(
+      "{\"t\":1e-400,\"layer\":\"route\",\"event\":\"forward\",\"node\":1.9,"
+      "\"peer\":4294967295,\"pkt\":\"DATA\",\"origin\":-0.5,"
+      "\"seq\":18446744073709551615,\"lin\":9007199254740993}\n");
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].t, 0.0);
+  EXPECT_EQ(records[0].node, 1u);
+  EXPECT_EQ(records[0].peer, kInvalidNode);
+  EXPECT_EQ(records[0].origin, 0u);
+  EXPECT_EQ(records[0].seq, UINT64_MAX);
+  EXPECT_EQ(records[0].lineage, 9007199254740993u);
+}
+
+TEST(TraceReader, OutOfRangeAndMalformedNumbersAreRejected) {
+  const char* const kBad[] = {
+      "\"node\":4294967296", "\"node\":-1", "\"peer\":1e10",
+      "\"lin\":18446744073709551616", "\"value\":1e999",
+      "\"value\":-1e999", "\"value\":+-1", "\"value\":1e",
+      "\"value\":1.2.3", "\"value\":NaN", "\"value\":inf"};
+  for (const char* field : kBad) {
+    EXPECT_THROW(parse_all(std::string("{\"t\":1,\"layer\":\"mon\","
+                                       "\"event\":\"alert\",") +
+                           field + "}\n"),
+                 TraceFormatError)
+        << field;
   }
 }
 

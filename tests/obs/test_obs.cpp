@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -112,29 +111,29 @@ TEST(Recorder, EmitDispatchesOnlyToMatchingSinks) {
 // ---- TraceWriter format ----
 
 TEST(TraceWriter, MinimalEventOmitsOptionalFields) {
-  std::ostringstream out;
+  std::string out;
   TraceWriter writer(out);
   writer.on_event({.t = 1.5, .kind = EventKind::kNbrHello, .node = 7});
-  EXPECT_EQ(out.str(),
+  EXPECT_EQ(out,
             "{\"t\":1.500000000,\"layer\":\"nbr\",\"event\":\"hello\","
             "\"node\":7}\n");
 }
 
 TEST(TraceWriter, PeerAndValueFieldsAppearWhenSet) {
-  std::ostringstream out;
+  std::string out;
   TraceWriter writer(out);
   writer.on_event({.t = 2.25,
                    .kind = EventKind::kMonSuspicion,
                    .node = 1,
                    .peer = 9,
                    .value = 3.0});
-  EXPECT_EQ(out.str(),
+  EXPECT_EQ(out,
             "{\"t\":2.250000000,\"layer\":\"mon\",\"event\":\"suspicion\","
             "\"node\":1,\"peer\":9,\"sus\":\"fab\",\"value\":3}\n");
 }
 
 TEST(TraceWriter, PacketFieldsComeFromThePacket) {
-  std::ostringstream out;
+  std::string out;
   TraceWriter writer(out);
   pkt::Packet packet;
   packet.type = pkt::PacketType::kData;
@@ -144,7 +143,7 @@ TEST(TraceWriter, PacketFieldsComeFromThePacket) {
                    .kind = EventKind::kAtkDrop,
                    .node = 5,
                    .packet = &packet});
-  const std::string line = out.str();
+  const std::string line = out;
   EXPECT_NE(line.find("\"layer\":\"atk\""), std::string::npos);
   EXPECT_NE(line.find("\"origin\":11"), std::string::npos);
   EXPECT_NE(line.find("\"seq\":42"), std::string::npos);
@@ -155,11 +154,11 @@ TEST(TraceWriter, PacketFieldsComeFromThePacket) {
 TEST(TraceWriter, LinesAreByteIdenticalAcrossRepeats) {
   const Event event{.t = 123.456789, .kind = EventKind::kRouteDeliver,
                     .node = 2, .peer = 3, .value = 0.0123456789};
-  std::ostringstream a;
-  std::ostringstream b;
+  std::string a;
+  std::string b;
   TraceWriter(a).on_event(event);
   TraceWriter(b).on_event(event);
-  EXPECT_EQ(a.str(), b.str());
+  EXPECT_EQ(a, b);
 }
 
 // ---- Metrics registry ----

@@ -105,7 +105,7 @@ int cmd_stats(const std::string& path) {
     if (!any || r.t < t_min) t_min = r.t;
     if (!any || r.t > t_max) t_max = r.t;
     any = true;
-    ++per_event[r.layer + "." + r.name];
+    ++per_event[std::string(r.layer()) + "." + std::string(r.name())];
     if (r.has_packet) lineages.insert(r.lineage);
     nodes.insert(r.node);
   }
@@ -177,7 +177,7 @@ std::vector<Segment> fold_incidents(const std::vector<TraceRecord>& records) {
   for (const TraceRecord& r : records) {
     if (r.is_run_header) {
       flush();
-      current = Segment{r.point, r.run_seed, {}};
+      current = Segment{std::string(r.point()), r.run_seed, {}};
       continue;
     }
     saw_events = true;
@@ -328,7 +328,8 @@ int cmd_diff(const std::string& path_a, const std::string& path_b) {
     try {
       if (lw::forensics::parse_trace_line(line, no, &record) &&
           !record.is_run_header) {
-        deltas[record.layer + "." + record.name] += sign;
+        deltas[std::string(record.layer()) + "." +
+               std::string(record.name())] += sign;
       }
     } catch (const TraceFormatError&) {
       deltas["(unparseable)"] += sign;
