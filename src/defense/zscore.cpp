@@ -13,9 +13,7 @@ ZScoreDefense::ZScoreDefense(const DefenseConfig& config, const Wiring& wiring)
       table_(wiring.table),
       routing_(wiring.routing),
       params_(config.zscore),
-      observer_(wiring.observer) {
-  if (params_.enabled) judged_.reserve(4096);
-}
+      observer_(wiring.observer) {}
 
 void ZScoreDefense::reset() {
   ++epoch_;
@@ -24,7 +22,7 @@ void ZScoreDefense::reset() {
   detected_.clear();
   isolated_.clear();
   alert_buffer_.clear();
-  judged_.clear();
+  judged_.reset();
   seen_alerts_.clear();
   last_alert_.clear();
 }
@@ -70,10 +68,7 @@ void ZScoreDefense::judge_forward(const pkt::Packet& packet) {
 
   // One verdict per (flow, forwarder), however many link-layer
   // retransmissions we overhear.
-  if (judged_.size() > 8192) judged_.clear();  // bound stale flows
-  if (!judged_.insert(lite::FlowNodeKey{packet.flow_key(), sender}).second) {
-    return;
-  }
+  if (!judged_.insert(packet.flow_key(), sender)) return;
 
   NeighborStats& stats = stats_[sender];
   ++stats.observed;

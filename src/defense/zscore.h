@@ -27,6 +27,7 @@
 
 #include "crypto/hmac.h"
 #include "defense/defense.h"
+#include "liteworp/forward_dedup.h"
 #include "liteworp/watch_buffer.h"
 
 namespace lw::defense {
@@ -91,7 +92,7 @@ class ZScoreDefense final : public Defense {
   std::unordered_set<NodeId> isolated_;  // revoked (locally or by alerts)
   std::unordered_map<NodeId, std::unordered_set<NodeId>> alert_buffer_;
   /// (flow, forwarder) pairs already judged (one verdict per packet).
-  std::unordered_set<lite::FlowNodeKey, lite::FlowNodeKeyHash> judged_;
+  lite::ForwardDedup judged_;
   std::unordered_set<FlowKey> seen_alerts_;
   std::unordered_map<NodeId, Time> last_alert_;
   nbr::AdmissionStats admission_stats_;

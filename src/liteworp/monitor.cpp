@@ -14,12 +14,7 @@ LocalMonitor::LocalMonitor(node::NodeEnv& env, nbr::NeighborTable& table,
       table_(table),
       routing_(routing),
       params_(params),
-      observer_(observer) {
-  // The per-window dedupe set reaches thousands of (flow, forwarder)
-  // entries on busy guards; growing it through a dozen rehashes per
-  // monitor is pure waste. Bucket count does not affect semantics.
-  if (params_.enabled) suspected_.reserve(4096);
-}
+      observer_(observer) {}
 
 void LocalMonitor::start() {}
 
@@ -77,10 +72,7 @@ void LocalMonitor::check_fabrication(const pkt::Packet& packet) {
 
   // One packet incriminates (or exonerates) a forwarder once per guard,
   // however many link-layer retransmissions of the forward we overhear.
-  if (suspected_.size() > 8192) suspected_.clear();  // bound stale flows
-  if (!suspected_.insert(FlowNodeKey{packet.flow_key(), sender}).second) {
-    return;
-  }
+  if (!judged_.insert(packet.flow_key(), sender)) return;
 
   if (watch_.has_transmit(packet.flow_key(), prev, env_.now())) {
     // Legitimate forward; if we were timing this handoff, the obligation
@@ -279,7 +271,7 @@ void LocalMonitor::reset() {
   detected_.clear();
   isolated_.clear();
   alert_buffer_.clear();
-  suspected_.clear();
+  judged_.reset();
   seen_alerts_.clear();
   last_alert_.clear();
 }

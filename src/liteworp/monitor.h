@@ -20,6 +20,7 @@
 #include <unordered_set>
 
 #include "crypto/hmac.h"
+#include "liteworp/forward_dedup.h"
 #include "liteworp/watch_buffer.h"
 #include "neighbor/neighbor_table.h"
 #include "node/node_env.h"
@@ -197,9 +198,8 @@ class LocalMonitor {
   util::PoolUnorderedSet<NodeId> detected_;   // crossed C_t locally
   util::PoolUnorderedSet<NodeId> isolated_;   // revoked (locally or by alerts)
   util::PoolUnorderedMap<NodeId, util::PoolUnorderedSet<NodeId>> alert_buffer_;
-  /// (flow, forwarder) pairs already counted as fabrications this window —
-  /// one insert per overheard control frame, so pool-arena backed.
-  util::PoolUnorderedSet<FlowNodeKey, FlowNodeKeyHash> suspected_;
+  /// (flow, forwarder) pairs already judged (one verdict per packet).
+  ForwardDedup judged_;
   util::PoolUnorderedSet<FlowKey> seen_alerts_;
   /// Last (re)alert time per detected node (rate limiting).
   util::PoolUnorderedMap<NodeId, Time> last_alert_;

@@ -29,19 +29,6 @@
 
 namespace lw::lite {
 
-/// (packet flow, node) composite key.
-struct FlowNodeKey {
-  FlowKey flow;
-  NodeId node = kInvalidNode;
-  friend bool operator==(const FlowNodeKey&, const FlowNodeKey&) = default;
-};
-
-struct FlowNodeKeyHash {
-  std::size_t operator()(const FlowNodeKey& k) const noexcept {
-    return std::hash<FlowKey>()(k.flow) * 0x9E3779B97F4A7C15ull + k.node;
-  }
-};
-
 /// (packet flow, from, to) composite key for drop watches.
 struct LinkWatchKey {
   FlowKey flow;

@@ -4,84 +4,84 @@
 
 namespace lw::nbr {
 
-void NeighborTable::set(util::PoolVector<std::uint8_t>& flags, NodeId id) {
-  if (id == kInvalidNode) return;  // sentinel, never a table member
-  if (id >= flags.size()) flags.resize(id + 1, 0);
-  flags[id] = 1;
+std::size_t NeighborTable::slot_of(NodeId id) const {
+  const auto it = std::find(ids_.begin(), ids_.end(), id);
+  return it == ids_.end() ? kNoSlot
+                          : static_cast<std::size_t>(it - ids_.begin());
 }
 
 void NeighborTable::add_neighbor(NodeId id) {
-  if (knows_neighbor(id)) return;
-  set(neighbor_flags_, id);
-  order_.push_back(id);
+  if (id == kInvalidNode || knows_neighbor(id)) return;
+  ids_.push_back(id);
+  lists_.emplace_back();
 }
 
 void NeighborTable::set_neighbor_list(NodeId owner,
                                       std::span<const NodeId> list) {
-  if (!knows_neighbor(owner)) return;
-  if (owner >= list_flags_.size()) list_flags_.resize(owner + 1);
-  util::PoolVector<std::uint8_t> flags;
-  for (NodeId member : list) set(flags, member);
-  list_flags_[owner] = std::move(flags);
-  lists_[owner].assign(list.begin(), list.end());
-}
-
-bool NeighborTable::has_list_of(NodeId owner) const {
-  return lists_.count(owner) != 0;
+  const std::size_t slot = slot_of(owner);
+  if (slot == kNoSlot) return;
+  SecondHop& second = lists_[slot];
+  second.ids.assign(list.begin(), list.end());
+  std::erase(second.ids, kInvalidNode);
+  second.stored = true;
 }
 
 const util::PoolVector<NodeId>* NeighborTable::list_of(NodeId owner) const {
-  auto it = lists_.find(owner);
-  return it == lists_.end() ? nullptr : &it->second;
+  const std::size_t slot = slot_of(owner);
+  if (slot == kNoSlot || !lists_[slot].stored) return nullptr;
+  return &lists_[slot].ids;
+}
+
+bool NeighborTable::in_list_of(NodeId owner, NodeId candidate) const {
+  const std::size_t slot = slot_of(owner);
+  if (slot == kNoSlot) return false;
+  const util::PoolVector<NodeId>& list = lists_[slot].ids;
+  return std::find(list.begin(), list.end(), candidate) != list.end();
 }
 
 bool NeighborTable::is_within_two_hops(NodeId id) const {
   if (knows_neighbor(id)) return true;
-  return std::any_of(
-      list_flags_.begin(), list_flags_.end(),
-      [id](const util::PoolVector<std::uint8_t>& flags) {
-        return test(flags, id);
-      });
+  return std::any_of(lists_.begin(), lists_.end(),
+                     [id](const SecondHop& second) {
+                       return std::find(second.ids.begin(), second.ids.end(),
+                                        id) != second.ids.end();
+                     });
+}
+
+bool NeighborTable::is_revoked(NodeId id) const {
+  return std::find(revoked_.begin(), revoked_.end(), id) != revoked_.end();
 }
 
 void NeighborTable::revoke(NodeId id) {
   if (!knows_neighbor(id) || is_revoked(id)) return;
-  set(revoked_flags_, id);
-  ++revoked_count_;
+  revoked_.push_back(id);
 }
 
 void NeighborTable::expire_neighbor(NodeId id) {
-  if (!knows_neighbor(id)) return;
-  neighbor_flags_[id] = 0;
-  order_.erase(std::remove(order_.begin(), order_.end(), id), order_.end());
-  lists_.erase(id);
-  if (id < list_flags_.size()) list_flags_[id].clear();
+  const std::size_t slot = slot_of(id);
+  if (slot == kNoSlot) return;
+  ids_.erase(ids_.begin() + static_cast<std::ptrdiff_t>(slot));
+  lists_.erase(lists_.begin() + static_cast<std::ptrdiff_t>(slot));
 }
 
 void NeighborTable::clear() {
-  order_.clear();
-  neighbor_flags_.clear();
-  revoked_flags_.clear();
-  revoked_count_ = 0;
+  ids_.clear();
   lists_.clear();
-  list_flags_.clear();
+  revoked_.clear();
 }
 
 util::PoolVector<NodeId> NeighborTable::active_neighbors() const {
   util::PoolVector<NodeId> active;
-  active.reserve(order_.size());
-  for (NodeId id : order_) {
+  active.reserve(ids_.size());
+  for (NodeId id : ids_) {
     if (!is_revoked(id)) active.push_back(id);
   }
   return active;
 }
 
 std::size_t NeighborTable::storage_bytes() const {
-  std::size_t bytes = 5 * order_.size();
-  for (const auto& [owner, list] : lists_) {
-    (void)owner;
-    bytes += 4 * list.size();
-  }
+  std::size_t bytes = 5 * ids_.size();
+  for (const SecondHop& second : lists_) bytes += 4 * second.ids.size();
   return bytes;
 }
 

@@ -158,20 +158,23 @@ void OnDemandRouting::flush_pending(NodeId destination) {
 
 bool OnDemandRouting::seen_before(const FlowKey& key) {
   purge_seen();
-  auto [it, inserted] =
-      seen_requests_.try_emplace(key, env_.now() + params_.seen_request_ttl);
-  if (!inserted) return true;
+  if (!seen_requests_.insert(key).second) return true;
+  seen_expiry_.push_back({env_.now() + params_.seen_request_ttl, key});
   return false;
 }
 
 void OnDemandRouting::purge_seen() {
-  // Amortized cleanup: scan only when the filter has grown noticeably.
+  // Amortized cleanup: only when the filter has grown noticeably. Expiries
+  // are now + ttl in insertion order, so the expired entries are exactly a
+  // prefix of seen_expiry_.
   if (seen_requests_.size() < 256 || (seen_requests_.size() & 0x3F) != 0) {
     return;
   }
   const Time now = env_.now();
-  std::erase_if(seen_requests_,
-                [now](const auto& entry) { return entry.second <= now; });
+  while (!seen_expiry_.empty() && seen_expiry_.front().expiry <= now) {
+    seen_requests_.erase(seen_expiry_.front().key);
+    seen_expiry_.pop_front();
+  }
 }
 
 void OnDemandRouting::handle(const pkt::Packet& packet) {
@@ -418,6 +421,7 @@ void OnDemandRouting::on_send_failed(const pkt::Packet& packet) {
 void OnDemandRouting::reset() {
   cache_.clear();
   seen_requests_.clear();
+  seen_expiry_.clear();
   for (auto& [flow, pending] : pending_forwards_) {
     (void)flow;
     pending.event.cancel();

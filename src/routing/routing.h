@@ -156,7 +156,13 @@ class OnDemandRouting {
   SeqNo next_seq_ = 0;
   /// Flood bookkeeping churns an entry per REQ copy; pool-backed so the
   /// insert/erase cycle recycles nodes instead of hitting the heap.
-  util::PoolUnorderedMap<FlowKey, Time> seen_requests_;
+  util::PoolUnorderedSet<FlowKey> seen_requests_;
+  /// The same flows in insertion order, with their expiry (non-decreasing).
+  struct SeenExpiry {
+    Time expiry;
+    FlowKey key;
+  };
+  std::deque<SeenExpiry, util::PoolAllocator<SeenExpiry>> seen_expiry_;
   util::PoolUnorderedMap<FlowKey, PendingForward> pending_forwards_;
   /// Destination-side reply policy: shortest hop count already answered
   /// per REQ flow (answer again only for strictly shorter copies).

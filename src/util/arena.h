@@ -53,11 +53,13 @@ class Arena {
   };
   const Stats& stats() const { return stats_; }
 
-  /// Largest pooled block. Must cover the bucket arrays of the watch and
-  /// dedup hash tables at their clamp sizes (~8k entries, rehashed to
-  /// prime bucket counts well past 64 KiB of pointers) — a bucket array
-  /// that falls through to ::operator new would show up as steady-state
-  /// heap traffic every time a guard's table cycles.
+  /// Largest pooled block. Must cover the biggest per-guard tables that
+  /// cycle in steady state: the watch-buffer and seen-request bucket
+  /// arrays (thousands of entries, rehashed to prime bucket counts past
+  /// 64 KiB of pointers) and the ForwardDedup slot vector at its clamp
+  /// (16384 slots x 16 B = 256 KiB). A block that falls through to
+  /// ::operator new would show up as steady-state heap traffic every time
+  /// one of those tables grows again.
   static constexpr std::size_t kMaxPooled = std::size_t{1} << 20;
 
  private:

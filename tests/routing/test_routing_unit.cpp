@@ -78,6 +78,49 @@ TEST_F(RoutingUnitTest, DuplicateCopiesSuppressThePendingForward) {
       << "two extra copies = the neighborhood is covered; forward cancelled";
 }
 
+TEST_F(RoutingUnitTest, ExpiredFloodStaysSeenUntilAPurgeMoment) {
+  // The duplicate filter forgets expired flows only at its amortized purge
+  // moments (256 or more entries, a multiple of 64), never in between.
+  auto forwards_of = [this](SeqNo seq) {
+    std::size_t count = 0;
+    for (const pkt::Packet& p : env_.sent_of(pkt::PacketType::kRouteRequest)) {
+      if (p.origin == 9 && p.seq == seq) ++count;
+    }
+    return count;
+  };
+  // Fresh flows are only offered (their jittered forwards stay pending),
+  // so the clock does not run past their own expiry meanwhile.
+  auto offer = [this](SeqNo seq) {
+    routing_.handle(req_copy({9, 1}, 1, 9, seq, /*dst=*/42));
+  };
+  auto flood = [&](SeqNo seq) {
+    offer(seq);
+    env_.simulator().run_all();
+  };
+  const SeqNo old_flow = 1;
+  flood(old_flow);
+  ASSERT_EQ(forwards_of(old_flow), 1u);
+
+  // Let the entry expire (seen_request_ttl is 30 s).
+  env_.simulator().schedule(31.0, [] {});
+  env_.simulator().run_all();
+  flood(old_flow);
+  EXPECT_EQ(forwards_of(old_flow), 1u) << "expired but not yet purged";
+
+  // 255 entries held: still no purge moment.
+  for (SeqNo seq = 100; seq < 100 + 254; ++seq) offer(seq);
+  flood(old_flow);
+  EXPECT_EQ(forwards_of(old_flow), 1u);
+
+  // 256 entries held: the next lookup purges the expired flow first.
+  offer(100 + 254);
+  flood(old_flow);
+  EXPECT_EQ(forwards_of(old_flow), 2u);
+  // The fresh flows inserted after the expiry are still remembered.
+  flood(100);
+  EXPECT_EQ(forwards_of(100), 1u);
+}
+
 TEST_F(RoutingUnitTest, CongestedNodeDoesNotForwardFloods) {
   env_.queue_depth = 64;  // deep MAC backlog
   routing_.handle(req_copy({9, 1}, 1, 9, 4, 42));

@@ -1,10 +1,18 @@
 // Scenario wiring: topology constraints, determinism, config handling.
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "scenario/runner.h"
+#include "util/arena.h"
 
 namespace lw::scenario {
 namespace {
+
+/// Pool memory carved while building the 2000-node network below: the
+/// first six arena chunks (64 KiB doubling to 2 MiB). Recorded; the value
+/// is deterministic for a given standard library.
+constexpr std::size_t kLargeNetworkArenaCeiling = 4'128'768;
 
 TEST(Config, TableTwoDefaults) {
   auto config = ExperimentConfig::table2_defaults();
@@ -61,6 +69,30 @@ TEST(Network, DensityNearTarget) {
   Network net(config);
   EXPECT_GT(net.average_degree(), 5.0);
   EXPECT_LT(net.average_degree(), 11.0);
+}
+
+TEST(Network, LargeNetworkStaysUnderArenaCeiling) {
+  // Per-node protocol state must scale with degree, not with N: building a
+  // 2000-node LITEWORP network (oracle discovery fills every neighbor
+  // table and second-hop list) carves a recorded, deterministic amount of
+  // pool memory. O(N) state per node would carve hundreds of MiB here.
+  auto config = ExperimentConfig::table2_defaults();
+  config.node_count = 2000;
+  config.seed = 1;
+  config.duration = 1.0;
+  config.oracle_discovery = true;
+  config.finalize();
+  std::size_t chunk_bytes = 0;
+  std::size_t neighbor_entries = 0;
+  std::thread([&] {  // a fresh thread: its arena starts empty
+    Network net(config);
+    for (NodeId id = 0; id < config.node_count; ++id) {
+      neighbor_entries += net.node(id).table().neighbor_count();
+    }
+    chunk_bytes = util::thread_arena().stats().chunk_bytes;
+  }).join();
+  EXPECT_GT(neighbor_entries, 5u * config.node_count) << "tables filled";
+  EXPECT_LE(chunk_bytes, kLargeNetworkArenaCeiling) << chunk_bytes;
 }
 
 TEST(Network, ZeroMaliciousIsClean) {
