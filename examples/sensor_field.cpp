@@ -4,15 +4,17 @@
 // timelines. The diagnostic companion to `quickstart`.
 //
 //   ./sensor_field [--nodes=100] [--seed=1] [--duration=2000]
-//                  [--malicious=2] [--liteworp=true]
+//                  [--malicious=2] [--liteworp=true] [--trace=FILE]
+//
+// --trace writes every PHY event as the standard JSONL trace, which
+// `lw-trace` reads (stats / follow / check).
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <memory>
 
 #include "packet/packet.h"
-#include "phy/trace.h"
 #include "scenario/network.h"
+#include "scenario/runner.h"
 #include "util/config.h"
 
 namespace {
@@ -37,27 +39,37 @@ int main(int argc, char** argv) {
   config.malicious_count =
       static_cast<std::size_t>(args.get_int("malicious", 2));
   config.defense.name = args.get_bool("liteworp", true) ? "liteworp" : "none";
+  if (!trace_path.empty()) {
+    config.obs.trace = true;
+    config.obs.trace_layers = lw::obs::layer_bit(lw::obs::Layer::kPhy);
+  }
   config.finalize();
   warn_unread_flags(args);
 
-  lw::scenario::Network net(config);
   std::ofstream trace_file;
-  std::unique_ptr<lw::phy::TextTrace> trace;
   if (!trace_path.empty()) {
-    trace_file.open(trace_path);
-    trace = std::make_unique<lw::phy::TextTrace>(trace_file);
-    net.recorder().add_sink(trace.get(),
-                            lw::obs::layer_bit(lw::obs::Layer::kPhy));
+    trace_file.open(trace_path, std::ios::binary);
+    if (!trace_file) {
+      std::fprintf(stderr, "cannot open trace file %s\n", trace_path.c_str());
+      return 1;
+    }
     std::cout << "tracing every PHY event to " << trace_path << '\n';
   }
+  lw::scenario::Network net(config);
   std::cout << "topology: " << net.size() << " nodes, average degree "
             << net.average_degree() << ", malicious:";
   for (lw::NodeId m : net.malicious_ids()) std::cout << ' ' << m;
   std::cout << '\n';
 
   net.run();
+  if (trace_file.is_open() && !(trace_file << net.trace_jsonl()).flush()) {
+    std::fprintf(stderr, "cannot write trace file %s\n", trace_path.c_str());
+    return 1;
+  }
 
   const auto& m = net.metrics();
+  const std::uint64_t originated =
+      lw::scenario::RunResult::from_metrics(net).data_originated;
   const auto& phy = net.medium().stats();
 
   std::cout << "\n--- channel airtime by frame type ---\n";
@@ -106,10 +118,10 @@ int main(int argc, char** argv) {
   std::cout << "\n--- traffic ---\n";
   std::printf("  originated %llu  delivered %llu (%.1f%%)  wormhole-dropped "
               "%llu  no-route %llu\n",
-              static_cast<unsigned long long>(m.data_originated),
+              static_cast<unsigned long long>(originated),
               static_cast<unsigned long long>(m.data_delivered),
               100.0 * static_cast<double>(m.data_delivered) /
-                  static_cast<double>(m.data_originated),
+                  static_cast<double>(originated),
               static_cast<unsigned long long>(m.data_dropped_malicious),
               static_cast<unsigned long long>(m.data_dropped_no_route));
   std::printf("  discoveries %llu  routes %llu  wormhole routes %llu\n",

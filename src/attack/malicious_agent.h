@@ -17,18 +17,10 @@
 
 namespace lw::attack {
 
-/// Ground-truth attack events for the metrics layer.
-class AttackObserver {
- public:
-  virtual ~AttackObserver() = default;
-  virtual void on_data_dropped(NodeId /*malicious*/, const pkt::Packet&) {}
-  virtual void on_wormhole_replay(NodeId /*malicious*/, const pkt::Packet&) {}
-};
-
 class MaliciousAgent {
  public:
   MaliciousAgent(node::NodeEnv& env, nbr::NeighborTable& table,
-                 WormholeCoordinator& coordinator, AttackObserver* observer);
+                 WormholeCoordinator& coordinator);
 
   /// Offered every frame the node decodes, before honest processing.
   /// Returns true when the frame was consumed by the attack.
@@ -59,13 +51,16 @@ class MaliciousAgent {
   /// rebroadcasting tunneled control traffic.
   NodeId fake_prev_hop(NodeId colluder) const;
 
+  /// Ground truth for every frame this node replays (atk.replay).
+  /// `colluder` is kInvalidNode in the solo modes.
+  void emit_replay(const pkt::Packet& replay, NodeId colluder);
+
   /// Position of this node in a source route, or npos.
   std::size_t my_route_index(const pkt::Packet& packet) const;
 
   node::NodeEnv& env_;
   nbr::NeighborTable& table_;
   WormholeCoordinator& coordinator_;
-  AttackObserver* observer_;
 
   util::PoolUnorderedSet<FlowKey> tunneled_flows_;
   util::PoolUnorderedSet<FlowKey> rebroadcast_flows_;

@@ -12,8 +12,7 @@ ZScoreDefense::ZScoreDefense(const DefenseConfig& config, const Wiring& wiring)
     : env_(wiring.env),
       table_(wiring.table),
       routing_(wiring.routing),
-      params_(config.zscore),
-      observer_(wiring.observer) {}
+      params_(config.zscore) {}
 
 void ZScoreDefense::reset() {
   ++epoch_;
@@ -76,9 +75,6 @@ void ZScoreDefense::judge_forward(const pkt::Packet& packet) {
   // Forward of a flow this node never overheard at all: the wormhole
   // replay signature, scored statistically instead of per-packet.
   ++stats.anomalies;
-  if (observer_) {
-    observer_->on_suspicion(env_.id(), sender, lite::Suspicion::kAnomaly);
-  }
   emit_mon(obs::EventKind::kMonSuspicion, sender, zscore_of(sender),
            obs::kSuspicionAnomaly);
   maybe_detect(sender);
@@ -136,12 +132,10 @@ void ZScoreDefense::detect_and_alert(NodeId suspect) {
   isolated_.insert(suspect);
   table_.revoke(suspect);
   routing_.on_revoked(suspect);
-  if (observer_) observer_->on_local_detection(env_.id(), suspect);
   emit_mon(obs::EventKind::kMonDetection, suspect, zscore_of(suspect));
   LW_INFO << "zscore guard " << env_.id() << " detected node " << suspect
           << " at t=" << env_.now();
 
-  if (observer_) observer_->on_alert_sent(env_.id(), suspect);
   last_alert_[suspect] = env_.now();
   send_alert(suspect);
   for (int repeat = 1; repeat < params_.alert_repeats; ++repeat) {
@@ -229,7 +223,6 @@ void ZScoreDefense::isolate(NodeId suspect, int alerts) {
   isolated_.insert(suspect);
   table_.revoke(suspect);
   routing_.on_revoked(suspect);
-  if (observer_) observer_->on_isolation(env_.id(), suspect, alerts);
   emit_mon(obs::EventKind::kMonIsolation, suspect,
            static_cast<double>(alerts));
   LW_INFO << "node " << env_.id() << " isolated " << suspect << " after "

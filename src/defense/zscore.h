@@ -78,7 +78,6 @@ class ZScoreDefense final : public Defense {
   nbr::NeighborTable& table_;
   routing::OnDemandRouting& routing_;
   ZScoreParams params_;
-  DetectionObserver* observer_;
   util::PoolString auth_buf_;
   /// Scratch for the batched alert-signing fan-out (recycled per alert).
   util::PoolVector<NodeId> sign_peers_;

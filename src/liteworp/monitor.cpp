@@ -9,12 +9,8 @@ namespace lw::lite {
 
 LocalMonitor::LocalMonitor(node::NodeEnv& env, nbr::NeighborTable& table,
                            routing::OnDemandRouting& routing,
-                           LiteworpParams params, MonitorObserver* observer)
-    : env_(env),
-      table_(table),
-      routing_(routing),
-      params_(params),
-      observer_(observer) {}
+                           LiteworpParams params)
+    : env_(env), table_(table), routing_(routing), params_(params) {}
 
 void LocalMonitor::start() {}
 
@@ -157,9 +153,6 @@ void LocalMonitor::maybe_add_drop_watch(const pkt::Packet& packet) {
 }
 
 void LocalMonitor::observe(NodeId suspect, bool suspicious, Suspicion kind) {
-  if (suspicious && observer_) {
-    observer_->on_suspicion(env_.id(), suspect, kind);
-  }
   if (suspicious) {
     if (auto* r = env_.obs(); r && r->wants(obs::Layer::kMonitor)) {
       r->emit({.t = env_.now(),
@@ -194,7 +187,6 @@ void LocalMonitor::detect_and_alert(NodeId suspect) {
   isolated_.insert(suspect);
   table_.revoke(suspect);
   routing_.on_revoked(suspect);
-  if (observer_) observer_->on_local_detection(env_.id(), suspect);
   if (auto* r = env_.obs(); r && r->wants(obs::Layer::kMonitor)) {
     r->emit({.t = env_.now(),
              .kind = obs::EventKind::kMonDetection,
@@ -205,7 +197,6 @@ void LocalMonitor::detect_and_alert(NodeId suspect) {
   LW_INFO << "guard " << env_.id() << " detected node " << suspect
           << " at t=" << env_.now();
 
-  if (observer_) observer_->on_alert_sent(env_.id(), suspect);
   last_alert_[suspect] = env_.now();
   send_alert(suspect);
   for (int repeat = 1; repeat < params_.alert_repeats; ++repeat) {
@@ -328,7 +319,6 @@ void LocalMonitor::isolate(NodeId suspect, int alerts) {
   isolated_.insert(suspect);
   table_.revoke(suspect);
   routing_.on_revoked(suspect);
-  if (observer_) observer_->on_isolation(env_.id(), suspect, alerts);
   if (auto* r = env_.obs(); r && r->wants(obs::Layer::kMonitor)) {
     r->emit({.t = env_.now(),
              .kind = obs::EventKind::kMonIsolation,

@@ -96,30 +96,14 @@ struct LiteworpParams {
   bool strict_link_check = false;
 };
 
-/// Why a guard incremented its counter against a neighbor. kFabrication
-/// and kDrop are LITEWORP's two evidence kinds (Section 4.2); kAnomaly is
-/// the statistical evidence of the Z-score backend (defense/zscore.h),
-/// which shares this vocabulary so one observer serves every backend.
-enum class Suspicion : std::uint8_t { kFabrication, kDrop, kAnomaly };
-
-/// Metrics hooks. The scenario layer implements these with access to
-/// ground truth (who is actually malicious).
-class MonitorObserver {
- public:
-  virtual ~MonitorObserver() = default;
-  virtual void on_suspicion(NodeId /*guard*/, NodeId /*suspect*/,
-                            Suspicion /*kind*/) {}
-  virtual void on_local_detection(NodeId /*guard*/, NodeId /*suspect*/) {}
-  virtual void on_alert_sent(NodeId /*guard*/, NodeId /*suspect*/) {}
-  virtual void on_isolation(NodeId /*node*/, NodeId /*suspect*/,
-                            int /*alert_count*/) {}
-};
+/// Why a guard incremented its counter against a neighbor: LITEWORP's two
+/// evidence kinds (Section 4.2), reported as mon.suspicion's detail.
+enum class Suspicion : std::uint8_t { kFabrication, kDrop };
 
 class LocalMonitor {
  public:
   LocalMonitor(node::NodeEnv& env, nbr::NeighborTable& table,
-               routing::OnDemandRouting& routing, LiteworpParams params,
-               MonitorObserver* observer);
+               routing::OnDemandRouting& routing, LiteworpParams params);
 
   /// No-op placeholder kept for wiring symmetry (the count-based MalC
   /// window needs no timers).
@@ -186,7 +170,6 @@ class LocalMonitor {
   /// Scratch for the batched alert-signing fan-out (recycled per alert).
   util::PoolVector<NodeId> sign_peers_;
   util::PoolVector<crypto::AuthTag> sign_tags_;
-  MonitorObserver* observer_;
 
   struct SuspectState {
     double malc = 0.0;

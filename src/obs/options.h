@@ -1,7 +1,8 @@
 // Per-run observability switches, carried inside ExperimentConfig.
 //
-// All off by default: a default-configured run builds no Recorder at all
-// and every emit site reduces to a null-pointer compare.
+// All off by default: a default-configured run's Recorder carries only the
+// metrics collector (route/mon/atk), and emit sites of the other layers
+// reduce to a mask test.
 #pragma once
 
 #include <cstdint>

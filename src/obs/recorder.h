@@ -7,10 +7,12 @@
 // and trace output stays deterministic for a given seed at any thread
 // count.
 //
-// Zero-cost-when-disabled contract: every emit site guards with
+// Emit sites guard with
 //   if (rec != nullptr && rec->wants(Layer::kX)) rec->emit({...});
-// so a run without observability pays one pointer compare per site, and a
-// run tracing only some layers pays one mask test for the others.
+// so a layer no sink listens to costs one mask test per site. The route,
+// mon and atk layers are always live: scenario::Network registers the
+// run's stats::MetricsCollector on them. phy, mac, nbr and flt stay
+// zero-cost until an obs option (trace, counters, profile, ...) asks.
 #pragma once
 
 #include <cstdint>
@@ -22,8 +24,8 @@ namespace lw::obs {
 
 class RunProfiler;
 
-/// Consumer of the event stream (trace writer, metrics registry,
-/// profiler). Dispatch is synchronous; sinks must not retain
+/// Consumer of the event stream (metrics collector, trace writer, metrics
+/// registry, profiler, ...). Dispatch is synchronous; sinks must not retain
 /// Event::packet.
 class EventSink {
  public:

@@ -71,8 +71,8 @@ class Medium {
   void set_rx_range_multiplier(NodeId node, double multiplier);
 
   /// Attaches the run's observability recorder; the medium emits typed
-  /// phy.tx/rx/collision/loss events into it (per-frame tracing — e.g.
-  /// phy::TextTrace — subscribes there). Must outlive the medium; nullptr
+  /// phy.tx/rx/collision/loss events into it (per-frame tracing is the
+  /// JSONL trace with trace_layers = phy). Must outlive the medium; nullptr
   /// (the default) disables emission entirely.
   void set_recorder(obs::Recorder* recorder) { recorder_ = recorder; }
 

@@ -56,23 +56,10 @@ struct RoutingParams {
   Duration seen_request_ttl = 30.0;
 };
 
-/// Events the metrics layer subscribes to. Default implementations ignore
-/// everything so tests can override selectively.
-class RoutingObserver {
- public:
-  virtual ~RoutingObserver() = default;
-  virtual void on_data_originated(NodeId /*source*/, const pkt::Packet&) {}
-  virtual void on_data_delivered(NodeId /*destination*/, const pkt::Packet&) {}
-  virtual void on_data_dropped_no_route(NodeId /*source*/) {}
-  virtual void on_route_established(NodeId /*source*/,
-                                    const pkt::NodeList& /*path*/) {}
-  virtual void on_discovery_started(NodeId /*source*/, NodeId /*target*/) {}
-};
-
 class OnDemandRouting {
  public:
   OnDemandRouting(node::NodeEnv& env, nbr::NeighborTable& table,
-                  RoutingParams params, RoutingObserver* observer);
+                  RoutingParams params);
 
   /// Application entry point: send `payload_bytes` of data to `destination`,
   /// triggering route discovery if needed.
@@ -93,10 +80,14 @@ class OnDemandRouting {
   /// Wipes all routing state (node crash): cache, duplicate filters,
   /// pending flood forwards (their events are cancelled) and discovery
   /// queues. The node re-learns routes from scratch after recovery.
+  /// data_originated() survives, like the sequence counter.
   void reset();
 
   RouteCache& cache() { return cache_; }
   const RouteCache& cache() const { return cache_; }
+
+  /// Offered load: send_data calls toward another node, routed or not.
+  std::uint64_t data_originated() const { return data_originated_; }
 
   /// Frames this node refused to forward because the next hop is revoked.
   std::uint64_t refused_next_hop_revoked() const {
@@ -145,7 +136,6 @@ class OnDemandRouting {
   node::NodeEnv& env_;
   nbr::NeighborTable& table_;
   RoutingParams params_;
-  RoutingObserver* observer_;
   RouteCache cache_;
 
   struct PendingForward {
@@ -169,6 +159,7 @@ class OnDemandRouting {
   util::PoolUnorderedMap<FlowKey, std::size_t> replied_requests_;
   util::PoolUnorderedMap<NodeId, Discovery> discoveries_;
   std::uint64_t refused_next_hop_revoked_ = 0;
+  std::uint64_t data_originated_ = 0;
 };
 
 }  // namespace lw::routing

@@ -2,11 +2,10 @@
 //
 // Responsible for everything a node cannot do for itself: placing the
 // field (with retries until it is connected and the malicious nodes are
-// far enough apart), wiring medium/keys/metrics, selecting the attackers,
-// and driving the clock.
+// far enough apart), wiring medium/keys, selecting the attackers, folding
+// the run's metrics from the event stream, and driving the clock.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,12 +32,7 @@ namespace lw::scenario {
 /// stack coherently.
 class Network : public fault::FaultHost {
  public:
-  /// Builds the metrics collector; overridable so tools can subclass
-  /// MetricsCollector for richer observability.
-  using MetricsFactory = std::function<std::unique_ptr<stats::MetricsCollector>(
-      const sim::Simulator&, const topo::DiscGraph&, std::vector<NodeId>)>;
-
-  explicit Network(ExperimentConfig config, MetricsFactory metrics = {});
+  explicit Network(ExperimentConfig config);
   ~Network() override;
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -66,9 +60,10 @@ class Network : public fault::FaultHost {
 
   // ---- Observability (config().obs selects what is live) ----
 
-  /// The run's event recorder. Always present: config().obs selects the
-  /// built-in sinks (trace/counters/profile), and callers may add their
-  /// own (e.g. phy::TextTrace) before running.
+  /// The run's event recorder. Always present, with the metrics collector
+  /// on the route/mon/atk layers: config().obs selects the other built-in
+  /// sinks (trace/counters/profile/...), and callers may add their own
+  /// before running.
   obs::Recorder& recorder() { return *recorder_; }
 
   /// JSONL trace accumulated so far (empty unless obs.trace). Buffered in

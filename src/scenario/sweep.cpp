@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "util/json.h"
 #include "util/thread_pool.h"
 
 namespace lw::scenario {
@@ -179,91 +180,69 @@ Aggregate average_runs(ExperimentConfig config, int runs,
 
 namespace {
 
-/// Minimal JSON emitter (no dependency): escapes strings, prints doubles
-/// round-trippably.
+/// Comma-tracking JSON emitter on the util/json appenders: doubles print
+/// round-trippably (%.17g), strings are escaped by append_quoted.
 class JsonOut {
  public:
-  JsonOut() {
-    out_.precision(std::numeric_limits<double>::max_digits10);
-  }
-
   /// Injects pre-rendered JSON (e.g. a series object) as the current value.
   JsonOut& raw(const std::string& text) {
     comma();
-    out_ << text;
+    out_ += text;
     return *this;
   }
   JsonOut& key(const char* name) {
     comma();
-    out_ << '"' << name << "\":";
+    util::append_quoted(out_, name);
+    out_ += ':';
     fresh_ = true;
     return *this;
   }
   JsonOut& value(double v) {
     comma();
-    out_ << v;
+    util::append_general(out_, v, std::numeric_limits<double>::max_digits10);
     return *this;
   }
   JsonOut& value(std::uint64_t v) {
     comma();
-    out_ << v;
+    util::append_uint(out_, v);
     return *this;
   }
   JsonOut& value(bool v) {
     comma();
-    out_ << (v ? "true" : "false");
+    out_ += v ? "true" : "false";
     return *this;
   }
   JsonOut& value(const std::string& v) {
     comma();
-    out_ << '"';
-    for (char c : v) {
-      switch (c) {
-        case '"':
-          out_ << "\\\"";
-          break;
-        case '\\':
-          out_ << "\\\\";
-          break;
-        case '\n':
-          out_ << "\\n";
-          break;
-        case '\t':
-          out_ << "\\t";
-          break;
-        default:
-          out_ << c;
-      }
-    }
-    out_ << '"';
+    util::append_quoted(out_, v);
     return *this;
   }
   JsonOut& null() {
     comma();
-    out_ << "null";
+    out_ += "null";
     return *this;
   }
   JsonOut& open(char bracket) {
     comma();
-    out_ << bracket;
+    out_ += bracket;
     fresh_ = true;
     return *this;
   }
   JsonOut& close(char bracket) {
-    out_ << bracket;
+    out_ += bracket;
     fresh_ = false;
     return *this;
   }
 
-  std::string str() const { return out_.str(); }
+  const std::string& str() const { return out_; }
 
  private:
   void comma() {
-    if (!fresh_) out_ << ',';
+    if (!fresh_) out_ += ',';
     fresh_ = false;
   }
 
-  std::ostringstream out_;
+  std::string out_;
   bool fresh_ = true;
 };
 

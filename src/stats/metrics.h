@@ -1,7 +1,7 @@
 // Run metrics: the output parameters of the paper's evaluation.
 //
-// A MetricsCollector implements the observer interfaces of the routing,
-// monitoring, and attack layers, and classifies events against ground truth
+// A MetricsCollector is an obs::EventSink on the run's recorder. It folds
+// the route, mon and atk events and classifies them against ground truth
 // (the deployment geometry and the set of malicious nodes) that individual
 // nodes do not have. Output parameters match Section 6: packets dropped by
 // the wormhole, routes established / malicious routes, isolation latency,
@@ -12,15 +12,13 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "attack/malicious_agent.h"
-#include "liteworp/monitor.h"
-#include "util/arena.h"
-#include "routing/routing.h"
+#include "obs/recorder.h"
+#include "packet/packet.h"
 #include "topology/disc_graph.h"
+#include "util/arena.h"
 
 namespace lw::stats {
 
@@ -36,37 +34,23 @@ struct IsolationRecord {
   std::optional<Time> complete;
 };
 
-class MetricsCollector : public routing::RoutingObserver,
-                         public lite::MonitorObserver,
-                         public attack::AttackObserver {
+class MetricsCollector final : public obs::EventSink {
  public:
+  /// The layers the collector folds; the recorder needs no others.
+  static constexpr std::uint32_t kLayers =
+      obs::layer_bit(obs::Layer::kRouting) |
+      obs::layer_bit(obs::Layer::kMonitor) |
+      obs::layer_bit(obs::Layer::kAttack);
+
   /// `graph` and `malicious` are ground truth used only for classification.
-  MetricsCollector(const sim::Simulator& simulator,
-                   const topo::DiscGraph& graph,
-                   std::vector<NodeId> malicious);
+  MetricsCollector(const topo::DiscGraph& graph,
+                   const std::vector<NodeId>& malicious);
 
-  // RoutingObserver
-  void on_data_originated(NodeId source, const pkt::Packet& packet) override;
-  void on_data_delivered(NodeId destination,
-                         const pkt::Packet& packet) override;
-  void on_data_dropped_no_route(NodeId source) override;
-  void on_route_established(NodeId source,
-                            const pkt::NodeList& path) override;
-  void on_discovery_started(NodeId source, NodeId target) override;
-
-  // MonitorObserver
-  void on_suspicion(NodeId guard, NodeId suspect,
-                    lite::Suspicion kind) override;
-  void on_local_detection(NodeId guard, NodeId suspect) override;
-  void on_alert_sent(NodeId guard, NodeId suspect) override;
-  void on_isolation(NodeId node, NodeId suspect, int alert_count) override;
-
-  // AttackObserver
-  void on_data_dropped(NodeId malicious, const pkt::Packet& packet) override;
-  void on_wormhole_replay(NodeId malicious, const pkt::Packet& packet) override;
+  void on_event(const obs::Event& event) override;
 
   // ---- Counters ----
-  std::uint64_t data_originated = 0;
+  // Offered load (data packets originated) has no event; it is counted by
+  // routing::OnDemandRouting and summed into RunResult.
   std::uint64_t data_delivered = 0;
   std::uint64_t data_dropped_malicious = 0;
   std::uint64_t data_dropped_no_route = 0;
@@ -105,7 +89,6 @@ class MetricsCollector : public routing::RoutingObserver,
   // layer (reports copy them out at the end).
   util::PoolVector<Time> drop_times;
   util::PoolVector<Time> wormhole_route_times;
-  util::PoolVector<Time> route_times;
   /// End-to-end delivery latency of each delivered data packet.
   util::PoolVector<Duration> delivery_latencies;
 
@@ -135,11 +118,12 @@ class MetricsCollector : public routing::RoutingObserver,
   static std::uint64_t cumulative_at(const std::vector<Time>& times, Time t);
 
  private:
-  void note_revocation(NodeId by, NodeId suspect);
+  void on_route_established(const pkt::NodeList& path, Time t);
+  void on_local_detection(NodeId guard, NodeId suspect, Time t);
+  void on_isolation(NodeId node, NodeId suspect, Time t);
+  void note_revocation(NodeId by, NodeId suspect, Time t);
 
-  const sim::Simulator& simulator_;
   const topo::DiscGraph& graph_;
-  std::vector<NodeId> malicious_;
   std::unordered_set<NodeId> malicious_set_;
   std::map<NodeId, IsolationRecord> isolation_;
 };

@@ -27,8 +27,8 @@ class ZScoreTest : public ::testing::Test {
  protected:
   ZScoreTest()
       : env_(kGuard),
-        routing_(env_, table_, {}, nullptr),
-        defense_(config(), Wiring{env_, table_, routing_, nullptr}) {
+        routing_(env_, table_, {}),
+        defense_(config(), Wiring{env_, table_, routing_}) {
     table_.add_neighbor(kW);
     table_.add_neighbor(kH1);
     table_.add_neighbor(kH2);
@@ -224,7 +224,7 @@ TEST_F(ZScoreTest, ResetClearsStateAndDisarmsScheduledRepeats) {
 TEST_F(ZScoreTest, GammaDistinctAccusersIsolate) {
   DefenseConfig c = config();
   c.zscore.detection_confidence = 2;  // two distinct guards in this field
-  ZScoreDefense d(c, Wiring{env_, table_, routing_, nullptr});
+  ZScoreDefense d(c, Wiring{env_, table_, routing_});
   d.handle_alert(alert(kH1, kW, 1));
   EXPECT_EQ(d.alert_count(kW), 1);
   EXPECT_FALSE(table_.is_revoked(kW));

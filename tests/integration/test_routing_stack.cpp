@@ -76,7 +76,7 @@ TEST(RoutingStack, SteadyTrafficDeliversMostPackets) {
   scenario::Network net(config);
   net.run_until(300.0);
 
-  const auto& m = net.metrics();
+  const auto m = scenario::RunResult::from_metrics(net);
   ASSERT_GT(m.data_originated, 100u);
   const double delivery_ratio =
       static_cast<double>(m.data_delivered) /

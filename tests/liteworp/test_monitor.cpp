@@ -23,8 +23,8 @@ class MonitorTest : public ::testing::Test {
  protected:
   MonitorTest()
       : env_(kGuard),
-        routing_(env_, table_, {}, nullptr),
-        monitor_(env_, table_, routing_, params(), nullptr) {
+        routing_(env_, table_, {}),
+        monitor_(env_, table_, routing_, params()) {
     table_.add_neighbor(kX);
     table_.add_neighbor(kA);
     table_.add_neighbor(kOther);
@@ -278,7 +278,7 @@ TEST_F(AlertTest, ZeroTtlAlertNotRelayed) {
 TEST_F(MonitorTest, DisabledMonitorDoesNothing) {
   LiteworpParams off = params();
   off.enabled = false;
-  LocalMonitor disabled(env_, table_, routing_, off, nullptr);
+  LocalMonitor disabled(env_, table_, routing_, off);
   for (int i = 0; i < 10; ++i) {
     disabled.on_overhear(req(kA, kX, kFar, static_cast<SeqNo>(i)));
   }

@@ -10,7 +10,7 @@ namespace {
 
 class RoutingUnitTest : public ::testing::Test {
  protected:
-  RoutingUnitTest() : env_(/*id=*/5), routing_(env_, table_, {}, nullptr) {
+  RoutingUnitTest() : env_(/*id=*/5), routing_(env_, table_, {}) {
     // Our neighbors 1 and 2 with lists covering the ids used below.
     table_.add_neighbor(1);
     table_.add_neighbor(2);
@@ -181,6 +181,19 @@ TEST_F(RoutingUnitTest, RerrAtSourceEvictsRoutes) {
   rerr.claimed_tx = 1;
   routing_.handle(rerr);
   EXPECT_EQ(routing_.cache().lookup(7, env_.now()), nullptr);
+}
+
+TEST_F(RoutingUnitTest, DataOriginatedIgnoresSelfAndSurvivesReset) {
+  routing_.send_data(/*destination=*/5, 32);  // to ourselves: not offered
+  EXPECT_EQ(routing_.data_originated(), 0u);
+  routing_.send_data(7, 32);  // no route yet: queued, still offered load
+  routing_.cache().insert({5, 1, 9}, env_.now());
+  routing_.send_data(9, 32);  // routed
+  EXPECT_EQ(routing_.data_originated(), 2u);
+  routing_.reset();
+  EXPECT_EQ(routing_.data_originated(), 2u) << "a crash keeps the count";
+  routing_.send_data(7, 32);
+  EXPECT_EQ(routing_.data_originated(), 3u);
 }
 
 }  // namespace

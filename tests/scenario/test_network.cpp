@@ -216,9 +216,9 @@ TEST(Network, RunUntilIsMonotonic) {
   config.finalize();
   Network net(config);
   net.run_until(30.0);
-  const auto mid = net.metrics().data_originated;
+  const auto mid = RunResult::from_metrics(net).data_originated;
   net.run_until(100.0);
-  EXPECT_GE(net.metrics().data_originated, mid);
+  EXPECT_GE(RunResult::from_metrics(net).data_originated, mid);
 }
 
 }  // namespace
