@@ -39,7 +39,8 @@
 //                replica instead of hanging the worker pool (0 = off)
 //   --defense=NAME   defense backend for the sweep's base config
 //                (liteworp, leash, zscore, none); default leaves the
-//                bench's own choice in place
+//                bench's own choice in place. Benches whose points each
+//                pick a backend reject it.
 //   --defense-opt=K=V[,K=V...]  backend parameters by dotted key, e.g.
 //                --defense-opt=zscore.z_threshold=3,zscore.min_peers=4
 //                (comma-separated because lw::Config keeps one value per
@@ -56,8 +57,10 @@
 // plus its own flags, all parsed through lw::Config. Mistyped flags make
 // the bench exit non-zero with a message BEFORE any simulation runs
 // (finish(), called once right after flag parsing and once at exit).
-// Benches with no stochastic runs (the closed-form analysis harnesses)
-// accept --runs and --threads for CLI uniformity but ignore them.
+// A flag a bench accepts must change its output: the closed-form analysis
+// harnesses run no simulation and read only --json (parse_closed_form),
+// and a bench whose sweep points overwrite a common flag's field rejects
+// that flag (reject_ignored). Both exit 2 naming the flag.
 #pragma once
 
 #include <unistd.h>
@@ -163,6 +166,27 @@ inline Common parse_common(const lw::Config& args, int default_runs,
     std::exit(1);
   }
   return common;
+}
+
+/// Exits 2 when `flag` was given: this bench would silently ignore it, for
+/// the reason `why`.
+inline void reject_ignored(const lw::Config& args, const char* flag,
+                           const char* why) {
+  if (!args.has(flag)) return;
+  std::fprintf(stderr, "--%s is ignored by this bench: %s\n", flag, why);
+  std::exit(2);
+}
+
+/// The common flags of the closed-form harnesses: --json only. Every flag
+/// that configures a simulation is rejected (exit 2) since none runs.
+inline bool parse_closed_form(const lw::Config& args) {
+  for (const char* flag :
+       {"runs", "seed", "threads", "trace", "trace-out", "trace-filter",
+        "profile", "series", "spans", "watch", "run-timeout", "defense",
+        "defense-opt"}) {
+    reject_ignored(args, flag, "it runs no simulation");
+  }
+  return args.get_bool("json", false);
 }
 
 /// Applies --defense / --defense-opt to one config (validation errors make

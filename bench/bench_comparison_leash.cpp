@@ -47,6 +47,7 @@ double isolated_fraction(const lw::scenario::SweepPointResult& point) {
 int main(int argc, char** argv) {
   lw::Config args = lw::Config::from_args(argc, argv);
   const bench::Common common = bench::parse_common(args, 2, 900);
+  bench::reject_ignored(args, "defense", "every mode runs every backend");
   const double duration = args.get_double("duration", 400.0);
   const std::size_t nodes =
       static_cast<std::size_t>(args.get_int("nodes", 60));

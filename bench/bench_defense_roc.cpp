@@ -225,6 +225,7 @@ int check_rows(const std::vector<RocRow>& rows) {
 int main(int argc, char** argv) {
   lw::Config args = lw::Config::from_args(argc, argv);
   const bench::Common common = bench::parse_common(args, 2, 950);
+  bench::reject_ignored(args, "defense", "every cell names its backend");
   const double duration = args.get_double("duration", 400.0);
   const std::size_t nodes =
       static_cast<std::size_t>(args.get_int("nodes", 60));

@@ -8,9 +8,8 @@
 //   ./bench_fig6b_false_alarm [--nb_min=3] [--nb_max=60] [--step=1]
 //                             [--json]
 //
-// Standard flags (bench_common.h): --json emits the curve as JSON rows;
-// --runs/--seed/--threads are accepted for CLI uniformity but unused
-// (closed-form evaluation, no stochastic runs).
+// --json emits the curve as JSON rows. Closed-form evaluation: the
+// simulation flags of bench_common.h (--runs, --seed, ...) exit 2.
 #include <cstdio>
 
 #include "analysis/coverage.h"
@@ -19,13 +18,13 @@
 
 int main(int argc, char** argv) {
   lw::Config args = lw::Config::from_args(argc, argv);
-  const bench::Common common = bench::parse_common(args, 1, 0);
+  const bool json = bench::parse_closed_form(args);
   lw::analysis::CoverageParams params;
   const double nb_min = args.get_double("nb_min", 3.0);
   const double nb_max = args.get_double("nb_max", 60.0);
   const double step = args.get_double("step", 1.0);
 
-  if (common.json) {
+  if (json) {
     auto curve =
         lw::analysis::false_alarm_vs_neighbors(params, nb_min, nb_max, step);
     bench::JsonRows rows;

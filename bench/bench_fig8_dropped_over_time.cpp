@@ -53,6 +53,8 @@ double mean_latency(const lw::scenario::SweepPointResult& point) {
 int main(int argc, char** argv) {
   lw::Config args = lw::Config::from_args(argc, argv);
   const bench::Common common = bench::parse_common(args, 3, 300);
+  bench::reject_ignored(args, "defense",
+                        "each series runs with liteworp or none");
   const double duration = args.get_double("duration", 2000.0);
   const std::size_t nodes =
       static_cast<std::size_t>(args.get_int("nodes", 100));

@@ -23,6 +23,8 @@
 int main(int argc, char** argv) {
   lw::Config args = lw::Config::from_args(argc, argv);
   const bench::Common common = bench::parse_common(args, 2, 400);
+  bench::reject_ignored(args, "defense",
+                        "each M runs once with liteworp and once with none");
   const double duration = args.get_double("duration", 1500.0);
   const std::size_t nodes =
       static_cast<std::size_t>(args.get_int("nodes", 100));

@@ -5,9 +5,9 @@
 //
 //   ./bench_sec51_geometry [--json]
 //
-// Standard flags (bench_common.h): --json emits the lens-area and
-// guard-count tables as JSON rows; --runs/--seed/--threads are accepted
-// for CLI uniformity but unused (closed-form evaluation).
+// --json emits the lens-area and guard-count tables as JSON rows.
+// Closed-form evaluation: the simulation flags of bench_common.h (--runs,
+// --seed, ...) exit 2.
 #include <cstdio>
 
 #include "analysis/coverage.h"
@@ -17,9 +17,9 @@
 
 int main(int argc, char** argv) {
   lw::Config args = lw::Config::from_args(argc, argv);
-  const bench::Common common = bench::parse_common(args, 1, 0);
+  const bool json = bench::parse_closed_form(args);
 
-  if (common.json) {
+  if (json) {
     bench::JsonRows rows;
     for (double x = 0.0; x <= 1.0001; x += 0.125) {
       rows.field("kind", std::string("lens_area"))

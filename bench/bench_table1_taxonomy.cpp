@@ -12,7 +12,7 @@
 // cell, --seed base seed (rushing runs seed+7, a topology where its
 // timing window is open), --threads sweep workers (results identical for
 // any count), --json machine-readable sweep dump of the verification
-// runs.
+// runs. --defense exits 2: every row sets its own backend.
 #include <cstdio>
 #include <string>
 
@@ -45,6 +45,8 @@ double mean_isolated(const lw::scenario::SweepPointResult& point) {
 int main(int argc, char** argv) {
   lw::Config args = lw::Config::from_args(argc, argv);
   const bench::Common common = bench::parse_common(args, 1, 21);
+  bench::reject_ignored(args, "defense",
+                        "each mode runs once with liteworp and once with none");
   const bool verify = args.get_bool("verify", true);
   const double duration = args.get_double("duration", 400.0);
   if (int status = bench::finish(args)) return status;

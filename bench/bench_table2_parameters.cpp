@@ -6,9 +6,9 @@
 //
 //   ./bench_table2_parameters [--json]
 //
-// Standard flags (bench_common.h): --json emits the parameters as a JSON
-// row; --runs/--seed/--threads are accepted for CLI uniformity but unused
-// (this bench prints configuration, it does not simulate).
+// --json emits the parameters as a JSON row. This bench prints
+// configuration and does not simulate: the simulation flags of
+// bench_common.h (--runs, --seed, ...) exit 2.
 #include <cstdio>
 #include <iostream>
 
@@ -20,10 +20,10 @@
 
 int main(int argc, char** argv) {
   lw::Config args = lw::Config::from_args(argc, argv);
-  const bench::Common common = bench::parse_common(args, 1, 1);
+  const bool json = bench::parse_closed_form(args);
   auto config = lw::scenario::ExperimentConfig::table2_defaults();
 
-  if (common.json) {
+  if (json) {
     bench::JsonRows rows;
     rows.field("node_count", static_cast<double>(config.node_count))
         .field("radio_range_m", config.radio_range)

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "crypto/sha256.h"
-#include "util/arena.h"
 
 namespace lw::crypto {
 
@@ -40,62 +39,9 @@ class HmacKey {
   /// Verifies a truncated tag (constant time over the tag bytes).
   bool verify(std::string_view message, const AuthTag& tag) const;
 
-  /// Cached pad midstates, exposed so HmacBatch can run many keys through
-  /// the multi-buffer SHA-256 engine. Not part of the signing API.
-  const Sha256State& inner_state() const { return inner_; }
-  const Sha256State& outer_state() const { return outer_; }
-
  private:
   Sha256State inner_;
   Sha256State outer_;
-};
-
-/// Batched HMAC over one shared message and many prepared keys.
-///
-/// The simulator's hot crypto shapes are fan-outs: one alert payload
-/// tagged under a pairwise key per recipient, one neighbor list signed for
-/// every neighbor. Each HMAC is two SHA-256 finishes from cached
-/// midstates, independent across keys — so a batch of k keys becomes two
-/// k-lane sha256_many sweeps (inner pass over the message, outer pass
-/// over the 32-byte inner digests) instead of 2k serial hashes.
-///
-/// Reuse one instance and clear() between batches: all scratch lives in
-/// pool-arena vectors, so steady-state batches allocate nothing.
-class HmacBatch {
- public:
-  /// Queues a key; tags come out of sign_into in queue order.
-  void push(const HmacKey& key);
-  /// Queues a key plus the tag to check against (verification batches).
-  void push(const HmacKey& key, const AuthTag& tag);
-
-  void clear();
-  std::size_t size() const { return inner_.size(); }
-  bool empty() const { return inner_.empty(); }
-
-  /// One sweep: out[i] = HMAC tag of `message` under queued key i.
-  /// `out` must hold size() tags. The queue is left intact (clear() to
-  /// start the next batch).
-  void sign_into(std::string_view message, AuthTag* out);
-
-  /// One sweep verifying every queued (key, tag) pair against `message`.
-  /// Returns true iff all tags match (constant-time per-tag compare);
-  /// per-entry results are in results()[i] (1 = match) until the next
-  /// batch operation.
-  bool verify_all(std::string_view message);
-  const util::PoolVector<std::uint8_t>& results() const { return results_; }
-
- private:
-  /// Runs the two sweeps; digests_ holds the final digests afterwards.
-  void run(std::string_view message);
-
-  util::PoolVector<Sha256State> inner_;
-  util::PoolVector<Sha256State> outer_;
-  util::PoolVector<AuthTag> expected_;
-  // Scratch recycled across batches.
-  util::PoolVector<Digest> digests_;
-  util::PoolVector<Digest> inner_digests_;
-  util::PoolVector<const std::uint8_t*> ptrs_;
-  util::PoolVector<std::uint8_t> results_;
 };
 
 /// Computes HMAC-SHA-256(key, message).

@@ -91,19 +91,7 @@ AuthTag KeyManager::sign(NodeId self, NodeId peer,
 
 void KeyManager::sign_batch(NodeId self, std::span<const NodeId> peers,
                             std::string_view message, AuthTag* out) const {
-  batch_.clear();
-  for (NodeId peer : peers) batch_.push(pairwise_state(self, peer));
-  batch_.sign_into(message, out);
-}
-
-bool KeyManager::verify_batch(NodeId self, std::span<const NodeId> peers,
-                              std::string_view message,
-                              const AuthTag* tags) const {
-  batch_.clear();
-  for (std::size_t i = 0; i < peers.size(); ++i) {
-    batch_.push(pairwise_state(self, peers[i]), tags[i]);
-  }
-  return batch_.verify_all(message);
+  for (NodeId peer : peers) *out++ = sign(self, peer, message);
 }
 
 bool KeyManager::verify(NodeId a, NodeId b, std::string_view message,

@@ -41,16 +41,9 @@ class KeyManager {
   /// Tags message with the key shared by {self, peer}.
   AuthTag sign(NodeId self, NodeId peer, std::string_view message) const;
 
-  /// Tags one message under the pairwise key of every peer in one
-  /// multi-buffer sweep: out[i] = sign(self, peers[i], message). The
-  /// fan-out shape of alert multicast and neighbor-list broadcast.
+  /// out[i] = sign(self, peers[i], message) for every peer.
   void sign_batch(NodeId self, std::span<const NodeId> peers,
                   std::string_view message, AuthTag* out) const;
-
-  /// Verifies tags[i] against sign(self, peers[i], message) in one sweep.
-  /// Returns true iff every tag matches.
-  bool verify_batch(NodeId self, std::span<const NodeId> peers,
-                    std::string_view message, const AuthTag* tags) const;
 
   /// Verifies a tag allegedly produced with the key shared by {a, b}.
   bool verify(NodeId a, NodeId b, std::string_view message,
@@ -71,14 +64,12 @@ class KeyManager {
   /// Dense triangular index for ids < reserved_nodes_: pair (lo, hi) maps
   /// to slot_index_[hi*(hi+1)/2 + lo], which is -1 or an index into
   /// states_. states_ is a deque so cached HmacKey references are stable
-  /// across growth (batch verification holds several at once).
+  /// across growth.
   std::size_t reserved_nodes_ = 0;
   mutable std::vector<std::int32_t> slot_index_;
   mutable std::deque<HmacKey, util::PoolAllocator<HmacKey>> states_;
   /// Fallback for ids outside the reservation (tests, ad-hoc tools).
   mutable util::PoolUnorderedMap<std::uint64_t, HmacKey> overflow_;
-  /// Scratch for the batch paths (pool-backed, recycled per call).
-  mutable HmacBatch batch_;
 };
 
 /// An external attacker: has no valid keys, so every tag it forges is an

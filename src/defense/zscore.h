@@ -25,7 +25,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "crypto/hmac.h"
 #include "defense/defense.h"
 #include "liteworp/forward_dedup.h"
 #include "liteworp/watch_buffer.h"
@@ -79,9 +78,6 @@ class ZScoreDefense final : public Defense {
   routing::OnDemandRouting& routing_;
   ZScoreParams params_;
   util::PoolString auth_buf_;
-  /// Scratch for the batched alert-signing fan-out (recycled per alert).
-  util::PoolVector<NodeId> sign_peers_;
-  util::PoolVector<crypto::AuthTag> sign_tags_;
 
   lite::WatchBuffer watch_;
   /// Ordered map: the leave-one-out baseline iterates it, and ordered

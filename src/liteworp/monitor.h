@@ -19,7 +19,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "crypto/hmac.h"
 #include "liteworp/forward_dedup.h"
 #include "liteworp/watch_buffer.h"
 #include "neighbor/neighbor_table.h"
@@ -167,9 +166,6 @@ class LocalMonitor {
   LiteworpParams params_;
   /// Reusable serialization buffer for alert auth payloads.
   util::PoolString auth_buf_;
-  /// Scratch for the batched alert-signing fan-out (recycled per alert).
-  util::PoolVector<NodeId> sign_peers_;
-  util::PoolVector<crypto::AuthTag> sign_tags_;
 
   struct SuspectState {
     double malc = 0.0;

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <unordered_set>
 
-#include "crypto/hmac.h"
 #include "neighbor/neighbor_table.h"
 #include "node/node_env.h"
 #include "topology/disc_graph.h"
@@ -86,8 +85,6 @@ class DiscoveryAgent {
   /// Reusable serialization buffer for auth payloads (sign/verify are
   /// per-packet hot spots; keep the capacity across calls).
   util::PoolString auth_buf_;
-  /// Scratch for the batched list-signing fan-out (recycled per broadcast).
-  util::PoolVector<crypto::AuthTag> sign_tags_;
   NeighborTable& table_;
   DiscoveryParams params_;
   bool hello_sent_ = false;

@@ -28,7 +28,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "crypto/hmac.h"
 #include "neighbor/neighbor_table.h"
 #include "node/node_env.h"
 
@@ -95,8 +94,6 @@ class DynamicJoinAgent {
   NeighborTable& table_;
   /// Reusable serialization buffer for list auth payloads.
   util::PoolString auth_buf_;
-  /// Scratch for the batched list-signing fan-out (recycled per share).
-  util::PoolVector<crypto::AuthTag> sign_tags_;
   JoinParams params_;
   bool joining_ = false;
   /// True once this join emitted its nbr.join_complete event (the span

@@ -1,7 +1,6 @@
 #include "obs/span.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "packet/packet.h"
 #include "util/json.h"
@@ -9,26 +8,20 @@
 namespace lw::obs {
 namespace {
 
-/// Matches the sweep JSON emitter: round-trippable doubles, no locale.
-void append_double(std::ostringstream& out, double value) {
-  std::ostringstream tmp;
-  tmp.precision(17);
-  tmp << value;
-  out << tmp.str();
-}
-
-void append_summary(std::ostringstream& out, const HistogramSummary& s) {
-  out << "{\"count\":" << s.count << ",\"min\":";
-  append_double(out, s.min);
-  out << ",\"max\":";
-  append_double(out, s.max);
-  out << ",\"mean\":";
-  append_double(out, s.mean);
-  out << ",\"p50\":";
-  append_double(out, s.p50);
-  out << ",\"p95\":";
-  append_double(out, s.p95);
-  out << "}";
+void append_summary(std::string& out, const HistogramSummary& s) {
+  out += "{\"count\":";
+  util::append_uint(out, s.count);
+  out += ",\"min\":";
+  util::append_general(out, s.min, 17);
+  out += ",\"max\":";
+  util::append_general(out, s.max, 17);
+  out += ",\"mean\":";
+  util::append_general(out, s.mean, 17);
+  out += ",\"p50\":";
+  util::append_general(out, s.p50, 17);
+  out += ",\"p95\":";
+  util::append_general(out, s.p95, 17);
+  out += '}';
 }
 
 }  // namespace
@@ -419,43 +412,46 @@ void SpanBuilder::flush(Time now) {
 }
 
 std::string spans_to_json(const SpanReport& report) {
-  std::ostringstream out;
-  out << "{\"kinds\":{";
+  std::string out = "{\"kinds\":{";
   bool first = true;
   for (std::size_t i = 0; i < kSpanKindCount; ++i) {
     const SpanKindStats& stats = report.kinds[i];
     if (stats.opened == 0) continue;
-    if (!first) out << ",";
+    if (!first) out += ',';
     first = false;
-    out << "\"" << to_string(static_cast<SpanKind>(i))
-        << "\":{\"opened\":" << stats.opened << ",\"closed\":" << stats.closed
-        << ",\"duration\":";
+    util::append_quoted(out, to_string(static_cast<SpanKind>(i)));
+    out += ":{\"opened\":";
+    util::append_uint(out, stats.opened);
+    out += ",\"closed\":";
+    util::append_uint(out, stats.closed);
+    out += ",\"duration\":";
     append_summary(out, summarize_samples(stats.durations));
-    out << "}";
+    out += '}';
   }
-  out << "}";
+  out += '}';
   if (report.observe.count > 0) {
     const auto phase = [&out](const char* name, const PhaseStats& stats) {
-      out << "\"" << name << "\":{\"sum\":";
-      append_double(out, stats.sum);
-      out << ",\"summary\":";
+      util::append_quoted(out, name);
+      out += ":{\"sum\":";
+      util::append_general(out, stats.sum, 17);
+      out += ",\"summary\":";
       append_summary(out, summarize_samples(stats.samples));
-      out << "}";
+      out += '}';
     };
-    out << ",\"phases\":{";
+    out += ",\"phases\":{";
     phase("observe", report.observe);
-    out << ",";
+    out += ',';
     phase("corroborate", report.corroborate);
-    out << ",";
+    out += ',';
     phase("isolate", report.isolate);
-    out << "}";
+    out += '}';
   }
   if (!report.detection_latencies.empty()) {
-    out << ",\"detection_latency\":";
+    out += ",\"detection_latency\":";
     append_summary(out, summarize_samples(report.detection_latencies));
   }
-  out << "}";
-  return out.str();
+  out += '}';
+  return out;
 }
 
 }  // namespace lw::obs

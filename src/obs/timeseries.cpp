@@ -1,23 +1,20 @@
 #include "obs/timeseries.h"
 
-#include <sstream>
+#include "util/json.h"
 
 namespace lw::obs {
 namespace {
 
-/// Matches the sweep JSON emitter: round-trippable doubles, no locale.
-void append_double(std::ostringstream& out, double value) {
-  std::ostringstream tmp;
-  tmp.precision(17);
-  tmp << value;
-  out << tmp.str();
-}
-
-void append_gauges(std::ostringstream& out, const MemoryGauges& gauges) {
-  out << "{\"slab_slots\":" << gauges.slab_slots
-      << ",\"watch_entries\":" << gauges.watch_entries
-      << ",\"neighbor_bytes\":" << gauges.neighbor_bytes
-      << ",\"defense_storage_bytes\":" << gauges.defense_storage_bytes << "}";
+void append_gauges(std::string& out, const MemoryGauges& gauges) {
+  out += "{\"slab_slots\":";
+  util::append_uint(out, gauges.slab_slots);
+  out += ",\"watch_entries\":";
+  util::append_uint(out, gauges.watch_entries);
+  out += ",\"neighbor_bytes\":";
+  util::append_uint(out, gauges.neighbor_bytes);
+  out += ",\"defense_storage_bytes\":";
+  util::append_uint(out, gauges.defense_storage_bytes);
+  out += '}';
 }
 
 }  // namespace
@@ -100,53 +97,60 @@ SeriesReport TelemetrySampler::report(const BucketSample& final_sample) const {
 }
 
 std::string series_to_json(const SeriesReport& report, bool include_timing) {
-  std::ostringstream out;
-  out << "{\"bucket_seconds\":";
-  append_double(out, report.bucket_seconds);
-  out << ",\"queue_high_water\":" << report.queue_high_water
-      << ",\"memory_high_water\":";
+  std::string out = "{\"bucket_seconds\":";
+  util::append_general(out, report.bucket_seconds, 17);
+  out += ",\"queue_high_water\":";
+  util::append_uint(out, report.queue_high_water);
+  out += ",\"memory_high_water\":";
   append_gauges(out, report.memory_high_water);
-  out << ",\"buckets\":[";
+  out += ",\"buckets\":[";
   bool first_bucket = true;
   for (const SeriesBucket& bucket : report.buckets) {
-    if (!first_bucket) out << ",";
+    if (!first_bucket) out += ',';
     first_bucket = false;
-    out << "{\"start\":";
-    append_double(out, bucket.start);
-    out << ",\"events_emitted\":" << bucket.events_emitted
-        << ",\"events_executed\":" << bucket.events_executed
-        << ",\"layers\":{";
+    out += "{\"start\":";
+    util::append_general(out, bucket.start, 17);
+    out += ",\"events_emitted\":";
+    util::append_uint(out, bucket.events_emitted);
+    out += ",\"events_executed\":";
+    util::append_uint(out, bucket.events_executed);
+    out += ",\"layers\":{";
     bool first_layer = true;
     for (std::size_t i = 0; i < kLayerCount; ++i) {
       if (bucket.layer_events[i] == 0) continue;
-      if (!first_layer) out << ",";
+      if (!first_layer) out += ',';
       first_layer = false;
-      out << "\"" << to_string(static_cast<Layer>(i))
-          << "\":" << bucket.layer_events[i];
+      util::append_quoted(out, to_string(static_cast<Layer>(i)));
+      out += ':';
+      util::append_uint(out, bucket.layer_events[i]);
     }
-    out << "},\"deliveries\":" << bucket.deliveries
-        << ",\"delivery_latency_sum\":";
-    append_double(out, bucket.delivery_latency_sum);
-    out << ",\"queue_depth\":" << bucket.queue_depth
-        << ",\"queue_high_water\":" << bucket.queue_high_water
-        << ",\"memory\":";
+    out += "},\"deliveries\":";
+    util::append_uint(out, bucket.deliveries);
+    out += ",\"delivery_latency_sum\":";
+    util::append_general(out, bucket.delivery_latency_sum, 17);
+    out += ",\"queue_depth\":";
+    util::append_uint(out, bucket.queue_depth);
+    out += ",\"queue_high_water\":";
+    util::append_uint(out, bucket.queue_high_water);
+    out += ",\"memory\":";
     append_gauges(out, bucket.memory);
     if (include_timing) {
-      out << ",\"self_seconds\":{";
+      out += ",\"self_seconds\":{";
       bool first_timed = true;
       for (std::size_t i = 0; i < kLayerCount; ++i) {
         if (bucket.layer_self_seconds[i] == 0.0) continue;
-        if (!first_timed) out << ",";
+        if (!first_timed) out += ',';
         first_timed = false;
-        out << "\"" << to_string(static_cast<Layer>(i)) << "\":";
-        append_double(out, bucket.layer_self_seconds[i]);
+        util::append_quoted(out, to_string(static_cast<Layer>(i)));
+        out += ':';
+        util::append_general(out, bucket.layer_self_seconds[i], 17);
       }
-      out << "}";
+      out += '}';
     }
-    out << "}";
+    out += '}';
   }
-  out << "]}";
-  return out.str();
+  out += "]}";
+  return out;
 }
 
 }  // namespace lw::obs

@@ -213,15 +213,6 @@ const CaseMetrics* find_case(const std::vector<CaseMetrics>& cases,
   return nullptr;
 }
 
-void escape_json_string(std::ostringstream& out, const std::string& text) {
-  out << '"';
-  for (char c : text) {
-    if (c == '"' || c == '\\') out << '\\';
-    out << c;
-  }
-  out << '"';
-}
-
 }  // namespace
 
 bool CaseMetrics::has(const std::string& key) const {
@@ -373,8 +364,14 @@ DiffReport diff_cases(const std::vector<CaseMetrics>& a,
 std::string history_append(const std::string& history_json,
                            const std::string& label,
                            const std::vector<CaseMetrics>& cases) {
-  std::ostringstream out;
-  out << "{\"entries\":[";
+  std::string out = "{\"entries\":[";
+  const auto append_metric = [&out](std::string_view name, double value) {
+    out += ',';
+    util::append_quoted(out, name);
+    out += ':';
+    // %.10g round-trips every counter the benches emit.
+    util::append_general(out, value, 10);
+  };
   bool first = true;
   if (!history_json.empty()) {
     // Existing entries are re-serialized through this same writer, so the
@@ -386,49 +383,49 @@ std::string history_append(const std::string& history_json,
       throw std::runtime_error("history: expected {\"entries\":[...]}");
     }
     for (const util::JsonValue& entry : entries->items()) {
-      if (!first) out << ",";
+      if (!first) out += ',';
       first = false;
-      out << "{\"label\":";
-      escape_json_string(out, entry.string_or("label", ""));
-      out << ",\"cases\":[";
+      out += "{\"label\":";
+      util::append_quoted(out, entry.string_or("label", ""));
+      out += ",\"cases\":[";
       const util::JsonValue* entry_cases = entry.find("cases");
       bool first_case = true;
       if (entry_cases != nullptr) {
         for (const util::JsonValue& c : entry_cases->items()) {
-          if (!first_case) out << ",";
+          if (!first_case) out += ',';
           first_case = false;
-          out << "{\"case\":";
-          escape_json_string(out, c.string_or("case", ""));
+          out += "{\"case\":";
+          util::append_quoted(out, c.string_or("case", ""));
           for (const auto& [key, value] : c.members()) {
             if (key == "case" || !value.is_number()) continue;
-            out << ",\"" << key << "\":" << format_number(value.as_number());
+            append_metric(key, value.as_number());
           }
-          out << "}";
+          out += '}';
         }
       }
-      out << "]}";
+      out += "]}";
     }
   }
-  if (!first) out << ",";
-  out << "{\"label\":";
-  escape_json_string(out, label);
-  out << ",\"cases\":[";
+  if (!first) out += ',';
+  out += "{\"label\":";
+  util::append_quoted(out, label);
+  out += ",\"cases\":[";
   bool first_case = true;
   for (const CaseMetrics& c : cases) {
-    if (!first_case) out << ",";
+    if (!first_case) out += ',';
     first_case = false;
-    out << "{\"case\":";
-    escape_json_string(out, c.name);
+    out += "{\"case\":";
+    util::append_quoted(out, c.name);
     for (const auto& [name, value] : c.metrics) {
       // Wall metrics are machine-dependent; the ledger records only what
       // every machine must reproduce.
       if (is_wall_metric(name)) continue;
-      out << ",\"" << name << "\":" << format_number(value);
+      append_metric(name, value);
     }
-    out << "}";
+    out += '}';
   }
-  out << "]}]}";
-  return out.str();
+  out += "]}]}";
+  return out;
 }
 
 HistoryCheck history_check(const std::string& history_json,

@@ -155,6 +155,27 @@ TEST(Report, HistoryAppendAndCheckRoundTrip) {
   EXPECT_TRUE(ok.ok) << ok.message;
 }
 
+TEST(Report, HistoryAppendEscapesLabelsCaseNamesAndKeys) {
+  // A newline in the label, a quote in the case name and in a metric key:
+  // the ledger must stay JSON the next append (and check) can parse.
+  CaseMetrics hostile;
+  hostile.name = "n50 \"quoted\"";
+  hostile.metrics.emplace_back("frames\"tx", 7.0);
+  std::string history = history_append("", "pr16\nsecond line", {hostile});
+  history = history_append(history, "next", {hostile});
+  const util::JsonValue root = util::JsonValue::parse(history);
+  const auto& entries = root.find("entries")->items();
+  ASSERT_EQ(entries.size(), 2u);
+  for (const util::JsonValue& entry : entries) {
+    const auto& cases = entry.find("cases")->items();
+    ASSERT_EQ(cases.size(), 1u);
+    EXPECT_EQ(cases[0].string_or("case", ""), hostile.name);
+    EXPECT_EQ(cases[0].number_or("frames\"tx", 0.0), 7.0);
+  }
+  EXPECT_EQ(entries[0].string_or("label", ""), "pr16\nsecond line");
+  EXPECT_EQ(entries[1].string_or("label", ""), "next");
+}
+
 TEST(Report, HistoryCheckFlagsDrift) {
   const auto cases = cases_from(kBenchRows);
   const std::string history = history_append("", "pr7", cases);
